@@ -15,6 +15,7 @@ cd "$(dirname "$0")/.."
 
 HEADERS=(
   src/montage/epoch_sys.hpp
+  src/montage/dcss.hpp
   src/montage/recoverable.hpp
   src/nvm/region.hpp
   src/util/telemetry.hpp

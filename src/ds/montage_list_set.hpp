@@ -126,9 +126,9 @@ class MontageListSet : public Recoverable {
   }
 
   bool contains(const K& key) {
-    // Read-only: no BEGIN_OP needed (paper §3.1).
-    util::HazardDomain::global().clear_all();
-    Node* curr = walk_to(key);
+    // Read-only: no BEGIN_OP needed (paper §3.1). search() may unlink
+    // marked nodes on the way, which is cleanup, not a payload write.
+    Node* curr = search(key).second;
     const bool found = curr != nullptr && curr->key == key &&
                        !marked(curr->next.load());
     clear_hazards();
@@ -198,7 +198,9 @@ class MontageListSet : public Recoverable {
     while (true) {
       if (curr == nullptr) return {prev, nullptr};
       hd.protect(1, curr);
-      if (strip(prev->next.load()) != curr) goto restart;
+      // Re-validate the whole word: a marked prev may already be unlinked,
+      // and then it no longer keeps curr from being freed.
+      if (prev->next.load() != pack(curr, false)) goto restart;
       const uint64_t cw = curr->next.load();
       Node* next = strip(cw);
       if (marked(cw)) {
@@ -215,24 +217,6 @@ class MontageListSet : public Recoverable {
       hd.protect(0, prev);
       curr = next;
     }
-  }
-
-  /// Hazard-protected traversal for contains().
-  Node* walk_to(const K& key) {
-    auto& hd = util::HazardDomain::global();
-  restart:
-    Node* prev = head_;
-    hd.protect(0, prev);
-    Node* curr = strip(prev->next.load());
-    while (curr != nullptr) {
-      hd.protect(1, curr);
-      if (strip(prev->next.load()) != curr) goto restart;
-      if (!(curr->key < key)) return curr;
-      prev = curr;
-      hd.protect(0, prev);
-      curr = strip(curr->next.load());
-    }
-    return nullptr;
   }
 
   Node* head_;

@@ -299,7 +299,9 @@ class MontageLockFreeHashMap : public Recoverable {
     while (true) {
       if (curr == nullptr) return {prev, nullptr};
       hd.protect(1, curr);
-      if (strip(prev->next.load()) != curr) goto restart;
+      // Re-validate the whole word: a marked prev may already be unlinked,
+      // and then it no longer keeps curr from being freed.
+      if (prev->next.load() != pack(curr, false)) goto restart;
       const uint64_t cw = curr->next.load();
       Node* next = strip(cw);
       if (marked(cw)) {
