@@ -139,12 +139,8 @@ struct Config {
 /// series, so no state leaks across measurements.
 class BenchEnv {
  public:
-  /// `arena_shards` forwards to the Ralloc ctor (0 = auto) so shard-scaling
-  /// sweeps (fig16) can A/B the allocator arenas together with the epoch
-  /// shards.
   explicit BenchEnv(const Config& cfg, std::size_t region_size = 6ull << 30,
-                    nvm::PersistMode mode = nvm::PersistMode::kLatency,
-                    int arena_shards = 0) {
+                    nvm::PersistMode mode = nvm::PersistMode::kLatency) {
     nvm::RegionOptions ropts;
     ropts.size = region_size;
     ropts.mode = mode;
@@ -153,8 +149,7 @@ class BenchEnv {
     ropts.wpq_backlog_ns = util::env_u64("MONTAGE_WPQ_NS", 10'000);
     nvm::Region::init_global(ropts);
     ral_ = std::make_unique<ralloc::Ralloc>(nvm::Region::global(),
-                                            ralloc::Ralloc::Mode::kFresh,
-                                            arena_shards);
+                                            ralloc::Ralloc::Mode::kFresh);
     ralloc::Ralloc::set_default_instance(ral_.get());
   }
 

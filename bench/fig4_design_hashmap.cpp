@@ -68,15 +68,6 @@ void main_impl() {
     o.direct_free = true;
     sweep("Buf=64+DirFree", o);
   }
-  {
-    // Shards=1: the default config with the sharded epoch system forced
-    // back to one shard — the A/B that isolates what the shard-aware path
-    // (DESIGN.md §15, measured head-on by fig16) costs or buys this
-    // workload. (MONTAGE_EPOCH_SHARDS in the environment overrides it.)
-    EpochSys::Options o;
-    o.epoch_shards = 1;
-    sweep("Montage(shards=1)", o);
-  }
 }
 
 }  // namespace

@@ -73,13 +73,6 @@ void run_mix(const Config& cfg, const Mix& mix) {
                                                    nullptr);
   run_series<MontageMapAdapter<Val>>(cfg, "Montage(T)", mix, &transient_opts);
   run_series<MontageMapAdapter<Val>>(cfg, "Montage", mix, &montage_opts);
-  // A/B for the shard-aware epoch system (DESIGN.md §15): "Montage" above
-  // uses the auto shard count; this pin to one shard is the pre-sharding
-  // system. On machines where auto resolves to 1 the two series coincide.
-  EpochSys::Options oneshard_opts;
-  oneshard_opts.epoch_shards = 1;
-  run_series<MontageMapAdapter<Val>>(cfg, "Montage(shards=1)", mix,
-                                     &oneshard_opts);
   // Extension beyond the paper's reported figure: an ordered (skip-list)
   // Montage map on the same workload — §6.1's "tree-based maps".
   run_series<MontageSkipListAdapter<Val>>(cfg, "Montage-SkipList", mix,

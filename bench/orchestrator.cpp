@@ -45,9 +45,8 @@ struct BenchSpec {
   bool in_all;          // included in --figures=all
 };
 
-// The figure benches (fig4–fig14, the networked-server fig15, the
-// epoch-shard scaling sweep fig16, the §6.4 recovery table, and the gbench
-// primitive microbench).
+// The figure benches (fig4–fig14, the networked-server fig15, the §6.4
+// recovery table, and the gbench primitive microbench).
 constexpr BenchSpec kBenches[] = {
     {"4", "fig4_design_hashmap", true, true},
     {"5", "fig5_design_queue", true, true},
@@ -61,7 +60,6 @@ constexpr BenchSpec kBenches[] = {
     {"13", "fig13_recovery_robustness", true, true},
     {"14", "fig14_liveness", true, true},
     {"15", "fig15_server", true, true},
-    {"16", "fig16_scaling", true, true},
     {"sec64", "sec64_recovery", true, true},
     {"micro", "micro_primitives", false, false},
 };

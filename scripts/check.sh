@@ -75,15 +75,6 @@ MONTAGE_WB_COALESCE=0 ctest --test-dir "$OFF_DIR" --output-on-failure \
   -R "Region|EpochBasic|Coalesce" \
   "$@"
 
-# Shard kill-switch leg (DESIGN.md §15): MONTAGE_EPOCH_SHARDS=1 must
-# reproduce the exact pre-sharding epoch system — flat boundary drain,
-# mutex-only registration, one allocator arena — on the recovery-critical
-# suites of the sanitized tree.
-MONTAGE_EPOCH_SHARDS=1 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -j "$(nproc)" \
-  -R "CrashEnumeration|CrashSchedule|EpochBasic|Recovery|Ralloc" \
-  "$@"
-
 # Cooperative-advance leg: the advancer-free tick path is the raciest code
 # in the tree (any thread may CAS the clock while helping peers' write-
 # backs), and the telemetry kill-switch changes which code is compiled in.
@@ -93,13 +84,6 @@ COOP_DIR=build-thread-telemetry-off
 cmake -B "$COOP_DIR" -S . -DMONTAGE_SANITIZE=thread -DMONTAGE_TELEMETRY=OFF
 cmake --build "$COOP_DIR" -j "$(nproc)"
 ctest --test-dir "$COOP_DIR" --output-on-failure -j "$(nproc)" \
-  -R "ThreadFailure|CooperativeWatchdog" "$@"
-
-# Sharded-drain race leg (DESIGN.md §15): force four epoch shards under
-# TSan so the drain-ticket claims, the SPSC staged registrations, and the
-# takeover pass all race the advancer with the race detector watching.
-MONTAGE_EPOCH_SHARDS=4 ctest --test-dir "$COOP_DIR" --output-on-failure \
-  -j "$(nproc)" \
   -R "ThreadFailure|CooperativeWatchdog" "$@"
 
 # Smoke-perf leg (opt in with MONTAGE_SMOKE_PERF=1): a tiny un-sanitized
@@ -115,13 +99,16 @@ if [[ "${MONTAGE_SMOKE_PERF:-0}" == "1" ]]; then
   PERF_DIR=build-smoke-perf
   cmake -B "$PERF_DIR" -S .
   cmake --build "$PERF_DIR" -j "$(nproc)" --target orchestrator compare \
-    fig4_design_hashmap fig8_payload fig9_sync fig15_server fig16_scaling \
+    fig4_design_hashmap fig8_payload fig9_sync fig15_server \
     montage_kv_server
   MONTAGE_BENCH_SECONDS=${MONTAGE_BENCH_SECONDS:-0.02} \
   MONTAGE_BENCH_THREADS=${MONTAGE_BENCH_THREADS:-2} \
   MONTAGE_BENCH_SCALE=${MONTAGE_BENCH_SCALE:-0.002} \
-    "$PERF_DIR/bench/orchestrator" --figures=4,8,9,15,16 \
+    "$PERF_DIR/bench/orchestrator" --figures=4,8,9,15 \
     --out="$PERF_DIR/BENCH_smoke.json"
   "$PERF_DIR/bench/compare" results/BENCH_baseline.json \
     "$PERF_DIR/BENCH_smoke.json" --threshold=0.90 --rates-only
 fi
+
+# The size of the epoch system core is a tracked number (ROADMAP.md).
+wc -l src/montage/*

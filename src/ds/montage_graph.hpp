@@ -72,8 +72,7 @@ class MontageGraph : public Recoverable {
     std::lock_guard lk(s.m);
     if (s.v != nullptr) return false;
     BEGIN_OP_AUTOEND();
-    auto* p = esys_->pnew<VertexPayload>(id, attr);
-    p->set_blk_tag(kVertexTag);
+    auto* p = esys_->pnew<VertexPayload>(BlkTag{kVertexTag}, id, attr);
     s.v = new Vertex{p, {}};
     nvertices_.fetch_add(1, std::memory_order_relaxed);
     return true;
@@ -128,8 +127,7 @@ class MontageGraph : public Recoverable {
     if (sa.v == nullptr || sb.v == nullptr) return false;
     if (sa.v->adj.contains(b)) return false;
     BEGIN_OP_AUTOEND();
-    auto* p = esys_->pnew<EdgePayload>(a, b, attr);
-    p->set_blk_tag(kEdgeTag);
+    auto* p = esys_->pnew<EdgePayload>(BlkTag{kEdgeTag}, a, b, attr);
     sa.v->adj.emplace(b, p);
     sb.v->adj.emplace(a, p);
     nedges_.fetch_add(1, std::memory_order_relaxed);

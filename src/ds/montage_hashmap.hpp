@@ -195,8 +195,7 @@ class MontageHashMap : public Recoverable {
     ListNode() = default;
     explicit ListNode(Payload* p) : payload(p) {}
     ListNode(EpochSys* esys, const K& key, const V& val) {
-      payload = esys->pnew<Payload>(key, val);
-      payload->set_blk_tag(kPayloadTag);
+      payload = esys->pnew<Payload>(BlkTag{kPayloadTag}, key, val);
     }
 
     /// set with pointer-swing: set_val may clone the payload (paper Fig. 2

@@ -57,8 +57,7 @@ class MontageListSet : public Recoverable {
           clear_hazards();
           return false;
         }
-        Payload* p = esys_->pnew<Payload>(key);
-        p->set_blk_tag(kPayloadTag);
+        Payload* p = esys_->pnew<Payload>(BlkTag{kPayloadTag}, key);
         node->key = key;
         node->payload = p;
         node->next.store(pack(curr, false));

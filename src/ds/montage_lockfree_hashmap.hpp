@@ -81,8 +81,7 @@ class MontageLockFreeHashMap : public Recoverable {
           clear_hazards();
           return false;
         }
-        Payload* p = esys_->pnew<Payload>(key, val);
-        p->set_blk_tag(kPayloadTag);
+        Payload* p = esys_->pnew<Payload>(BlkTag{kPayloadTag}, key, val);
         node->key = key;
         node->payload.store(p);
         node->next.store(pack(curr, false));
@@ -134,8 +133,7 @@ class MontageLockFreeHashMap : public Recoverable {
         // CAS of the node's payload word; the superseded payload is
         // deleted in the same operation (same epoch), so after any crash
         // either both effects stand or neither does.
-        Payload* fresh = esys_->pnew<Payload>(key, val);
-        fresh->set_blk_tag(kPayloadTag);
+        Payload* fresh = esys_->pnew<Payload>(BlkTag{kPayloadTag}, key, val);
         if (curr->payload.cas_verify(esys_, old, fresh)) {
           esys_->pdelete(old);
           esys_->end_op();

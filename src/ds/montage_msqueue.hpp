@@ -70,8 +70,7 @@ class MontageMSQueue : public Recoverable {
           continue;
         }
         const uint64_t sn = last->sn + 1;
-        Payload* p = esys_->pnew<Payload>(val, sn);
-        p->set_blk_tag(kPayloadTag);
+        Payload* p = esys_->pnew<Payload>(BlkTag{kPayloadTag}, val, sn);
         node->payload.store(p, std::memory_order_relaxed);
         node->sn = sn;
         node->next.store(nullptr);

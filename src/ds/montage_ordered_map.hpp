@@ -44,8 +44,7 @@ class MontageOrderedMap : public Recoverable {
       it->second = it->second->set_val(val);
       return old;
     }
-    Payload* p = esys_->pnew<Payload>(key, val);
-    p->set_blk_tag(kPayloadTag);
+    Payload* p = esys_->pnew<Payload>(BlkTag{kPayloadTag}, key, val);
     index_.emplace(key, p);
     return std::nullopt;
   }
@@ -54,8 +53,7 @@ class MontageOrderedMap : public Recoverable {
     std::unique_lock lk(lock_);
     if (index_.contains(key)) return false;
     BEGIN_OP_AUTOEND();
-    Payload* p = esys_->pnew<Payload>(key, val);
-    p->set_blk_tag(kPayloadTag);
+    Payload* p = esys_->pnew<Payload>(BlkTag{kPayloadTag}, key, val);
     index_.emplace(key, p);
     return true;
   }

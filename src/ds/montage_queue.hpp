@@ -35,8 +35,7 @@ class MontageQueue : public Recoverable {
   void enqueue(const V& val) {
     std::lock_guard lk(lock_);
     BEGIN_OP_AUTOEND();
-    Payload* p = esys_->pnew<Payload>(val, next_sn_++);
-    p->set_blk_tag(kPayloadTag);
+    Payload* p = esys_->pnew<Payload>(BlkTag{kPayloadTag}, val, next_sn_++);
     items_.push_back(p);
   }
 

@@ -282,8 +282,7 @@ class MontageSkipListMap : public Recoverable {
     node->top_level = top;
     {
       BEGIN_OP_AUTOEND();
-      Payload* p = esys_->pnew<Payload>(key, val);
-      p->set_blk_tag(kPayloadTag);
+      Payload* p = esys_->pnew<Payload>(BlkTag{kPayloadTag}, key, val);
       node->payload = p;
       for (int lvl = 0; lvl <= top; ++lvl) {
         node->next[lvl].store(succs[lvl], std::memory_order_relaxed);

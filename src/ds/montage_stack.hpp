@@ -46,25 +46,33 @@ class MontageStack : public Recoverable {
   }
 
   void push(const V& val) {
+    auto& hd = util::HazardDomain::global();
     // Owned until the CAS links it in, so an exception escaping the op
     // (e.g. an injected crash) cannot leak the transient node.
     auto node = std::make_unique<Node>();
     while (true) {
       try {
         esys_->begin_op();
-        Node* h = head_.load();
+        // h->sn is read below, and a concurrent pop may retire h: protect
+        // it and re-validate, exactly as pop() does. The hazard is held
+        // through the CAS, so h cannot be freed and reused under it.
+        Node* h = static_cast<Node*>(hd.protect(0, head_.load()));
+        if (h != head_.load()) {
+          esys_->end_op();
+          continue;
+        }
         // The serial number orders the abstract stack bottom-to-top; it is
         // derived from the head we CAS against, so a successful cas_verify
         // makes it consistent.
         const uint64_t sn = h == nullptr ? 1 : h->sn + 1;
-        Payload* p = esys_->pnew<Payload>(val, sn);
-        p->set_blk_tag(kPayloadTag);
+        Payload* p = esys_->pnew<Payload>(BlkTag{kPayloadTag}, val, sn);
         node->payload = p;
         node->sn = sn;
         node->next = h;
         if (head_.cas_verify(esys_, h, node.get())) {
           node.release();
           esys_->end_op();
+          hd.clear(0);
           return;
         }
         // Value raced: discard this epoch's payload and retry.
@@ -79,6 +87,7 @@ class MontageStack : public Recoverable {
         // commit. Roll back so the structure (and this thread's epoch slot)
         // stays consistent, then surface the fault.
         esys_->abort_op();
+        hd.clear(0);
         throw;
       }
     }

@@ -224,8 +224,8 @@ class MontageMemCache : public Recoverable {
       return true;
     }
     evict_if_full(s);
-    ItemPayload* p = esys_->pnew<ItemPayload>(key, val, flags, exptime);
-    p->set_blk_tag(kPayloadTag);
+    ItemPayload* p = esys_->pnew<ItemPayload>(BlkTag{kPayloadTag}, key, val,
+                                              flags, exptime);
     s.lru.push_front(Item{key, p});
     s.index.emplace(key, s.lru.begin());
     return true;
@@ -288,8 +288,8 @@ class MontageMemCache : public Recoverable {
       s.evictions.fetch_add(1, std::memory_order_relaxed);
     }
     evict_if_full(s);
-    ItemPayload* p = esys_->pnew<ItemPayload>(key, val, flags, exptime);
-    p->set_blk_tag(kPayloadTag);
+    ItemPayload* p = esys_->pnew<ItemPayload>(BlkTag{kPayloadTag}, key, val,
+                                              flags, exptime);
     s.lru.push_front(Item{key, p});
     s.index.emplace(key, s.lru.begin());
     return true;

@@ -9,7 +9,6 @@
 
 #include "nvm/region.hpp"
 #include "util/env.hpp"
-#include "util/pin.hpp"
 #include "util/telemetry.hpp"
 #include "util/timing.hpp"
 
@@ -40,24 +39,7 @@ uint64_t xorshift64(uint64_t& s) {
 }
 
 thread_local EpochSys* tls_esys = nullptr;
-// True on the background advancer thread: separates epoch.advances driven by
-// the pacer from epoch.cooperative_advances driven by workers and sync().
-thread_local bool tls_is_advancer = false;
 std::atomic<EpochSys*> g_default_esys{nullptr};
-}  // namespace
-
-namespace {
-// Resolve the shard count (DESIGN.md §15): env override beats the Options
-// request beats the machine topology; always clamped to [1, max_threads].
-int resolve_epoch_shards(const EpochSys::Options& opts) {
-  int s = util::epoch_shards_override();
-  if (s == 0) {
-    s = opts.epoch_shards > 0 ? opts.epoch_shards : util::topology_shards();
-  }
-  if (s < 1) s = 1;
-  if (s > opts.max_threads) s = opts.max_threads;
-  return s;
-}
 }  // namespace
 
 EpochSys::EpochSys(ralloc::Ralloc* ral, const Options& opts, bool recover)
@@ -65,11 +47,8 @@ EpochSys::EpochSys(ralloc::Ralloc* ral, const Options& opts, bool recover)
       opts_(opts),
       clock_(&ral->region()->root(kClockRoot)),
       tds_(std::make_unique<ThreadData[]>(opts.max_threads)),
-      nshards_(resolve_epoch_shards(opts)),
-      mind_(opts.max_threads, nshards_),
+      mind_(opts.max_threads),
       uid_root_(&ral->region()->root(kUidRoot)) {
-  opts_.epoch_shards = nshards_;  // options() reports the resolved count
-  shard_tickets_ = std::make_unique<ShardTicket[]>(nshards_);
   nvm::Region* region = ral_->region();
   if (recover) {
     crash_epoch_ = clock_->load(std::memory_order_relaxed);
@@ -141,10 +120,8 @@ void EpochSys::set_default_esys(EpochSys* esys) {
 }
 
 void EpochSys::stop_advancer() {
-  // Serialized against start/restart: a stop that races a watchdog restart
-  // either joins the fresh thread or prevents it from starting at all, and
-  // double stops (destructor after an explicit stop, stop before any start)
-  // find nothing joinable and return.
+  // Serialized against start: double stops (destructor after an explicit
+  // stop, stop before any start) find nothing joinable and return.
   std::unique_lock lk(advancer_mutex_, std::try_to_lock);
   if (!lk.owns_lock()) {
     telemetry::count(telemetry::Ctr::kEpochAdvanceLockWaits);
@@ -178,7 +155,6 @@ void EpochSys::start_advancer_locked() {
 }
 
 void EpochSys::advancer_loop() {
-  tls_is_advancer = true;
   const uint64_t len = opts_.epoch_length_ns;
   while (!stop_.load(std::memory_order_acquire)) {
     if (len >= 1'000'000) {
@@ -203,8 +179,7 @@ void EpochSys::advancer_loop() {
       // A persist failure (or an injected crash point) reached the
       // advancer. Dying silently is exactly what a real advancer thread
       // would do; workers notice the stale clock and keep ticking it
-      // cooperatively (the watchdog restarts us only if
-      // Options::watchdog_restart opted in).
+      // cooperatively. Nothing restarts the thread.
       break;
     }
   }
@@ -261,12 +236,6 @@ uint64_t EpochSys::begin_op() {
     std::lock_guard lk(td.m);
     td.op_new_blocks.clear();
     if (mind_.parked(tid)) mind_.unpark(tid);
-    // Fold the previous op's staged registrations into the rings so every
-    // fast-path entry is ring-visible before this op starts, and reset the
-    // staging dedup hint — it must never suppress a registration of the
-    // same payload under this op's (different) epoch.
-    flush_staging(td);
-    td.stage_last_blk = nullptr;
   }
 
   // Help any waiting sync(): write back our own stale buffers early.
@@ -439,12 +408,6 @@ void EpochSys::abort_op() noexcept {
         tls_esys = nullptr;
         return;
       }
-      // Staged fast-path registrations must be ring-visible before the
-      // present-checks below, or a dead-marked block could enter the ring
-      // twice. flush_staging never evicts (it may push past the capacity
-      // bound, like the loop below), so no persistence event is issued and
-      // the noexcept contract holds.
-      flush_staging(td);
       // Cancel the pdelete / ensure_writable requests this operation queued:
       // their victims stay live in the structure. The size guard tolerates a
       // list that was swapped out from under the mark (cannot happen while
@@ -519,11 +482,14 @@ uint64_t EpochSys::next_uid(ThreadData& td) {
   return td.uid_next++;
 }
 
-void EpochSys::init_new_block(PBlk* p, std::size_t size) {
+void EpochSys::init_new_block(PBlk* p, std::size_t size, uint32_t tag) {
   ThreadData& td = my_td();
   p->magic_ = kPBlkMagic;
   p->uid_ = next_uid(td);
   p->size_ = size;
+  // The whole header is written before registration: once the block is on
+  // a ring, a concurrent drain may seal and flush it at any moment.
+  p->user_tag_ = tag;
   if (opts_.transient) {
     p->epoch_ = 0;
     p->blktype_ = static_cast<uint32_t>(BlkType::kAlloc);
@@ -581,50 +547,6 @@ void EpochSys::register_write(PBlk* p) {
   if (opts_.transient) return;
   ThreadData& td = my_td();
   assert(td.in_op);
-  // Lock-free SPSC fast path (DESIGN.md §15), sharded configurations only
-  // (MONTAGE_EPOCH_SHARDS=1 kills it along with the rest of the shard
-  // machinery): the owner is the sole producer of its staging ring, so a
-  // buffered registration is a plain store + release of stage_head — no
-  // td.m. Consumers (drains, adoption) fold staged entries into the rings
-  // under td.m before reading any ring state, so nothing here can be
-  // skipped by a boundary. Adopted/sealed/full cases fall through to the
-  // classic mutex path.
-  if (nshards_ > 1 && opts_.write_back == WriteBack::kBuffered &&
-      !td.adopted.load(std::memory_order_acquire)) {
-    const uint64_t e = td.op_epoch;
-    if (e >= td.stage_seal.load(std::memory_order_acquire)) {
-      const uint64_t tail = td.stage_tail.load(std::memory_order_acquire);
-      if (td.stage_last_blk == p && td.stage_last_idx >= tail) {
-        // Back-to-back re-registration of the hottest payload while its
-        // entry is still staged: the flush-time ring_push would dedup it
-        // anyway; skip the store entirely.
-        telemetry::count(telemetry::Ctr::kEpochRegLockfreeHits);
-        if (opts_.coalesce) telemetry::count(telemetry::Ctr::kWbDedupHits);
-        return;
-      }
-      const uint64_t head = td.stage_head.load(std::memory_order_relaxed);
-      if (head - tail < ThreadData::kStageCap) {
-        td.stage[head % ThreadData::kStageCap] = {p, e};
-        td.stage_head.store(head + 1, std::memory_order_release);
-        // Seal re-check: a consumer that sealed this epoch between our
-        // first check and the publish may have scanned before the entry
-        // became visible. Re-register through the mutex path — the staged
-        // duplicate is harmless (ring_push dedups; a drain that does see
-        // it rewrites already-sealed bytes).
-        if (e >= td.stage_seal.load(std::memory_order_acquire)) {
-          td.stage_last_blk = p;
-          td.stage_last_idx = head;
-          // Keep the mindicator hint fresh without the lock: the owner is
-          // the only writer of its leaf outside adoption, and set() itself
-          // handles a racing park.
-          const int tid = util::thread_id();
-          if (mind_.get(tid) > e) mind_.set(tid, e);
-          telemetry::count(telemetry::Ctr::kEpochRegLockfreeHits);
-          return;
-        }
-      }
-    }
-  }
   std::lock_guard lk(td.m);
   if (td.adopted.load(std::memory_order_acquire)) {
     throw OrphanedOperationException{};
@@ -932,67 +854,9 @@ void EpochSys::ring_push(ThreadData& td, uint64_t e, PBlk* p) {
   update_mindicator(td, static_cast<int>(&td - tds_.get()));
 }
 
-void EpochSys::flush_staging(ThreadData& td, uint64_t seal_below) {
-  if (seal_below != 0) {
-    // CAS-max: the seal never regresses. Sealing before the scan is the
-    // seal-then-scan consumer protocol — a producer that observes the new
-    // seal after its publish re-registers through the mutex path, so no
-    // staged entry for a sealed epoch can be missed by this scan's caller.
-    uint64_t s = td.stage_seal.load(std::memory_order_relaxed);
-    while (s < seal_below &&
-           !td.stage_seal.compare_exchange_weak(s, seal_below,
-                                                std::memory_order_acq_rel,
-                                                std::memory_order_relaxed)) {
-    }
-  }
-  const uint64_t head = td.stage_head.load(std::memory_order_acquire);
-  uint64_t tail = td.stage_tail.load(std::memory_order_relaxed);
-  if (tail == head) return;
-  bool pushed = false;
-  for (; tail != head; ++tail) {
-    const ThreadData::StageEntry ent =
-        td.stage[tail % ThreadData::kStageCap];
-    const uint64_t e = ent.epoch;
-    auto& ring = td.to_persist[e % 4];
-    if (opts_.coalesce) {
-      // Mirror ring_push's bookkeeping — restamp the slot filter for a
-      // reused slot, dedup through the member set, and re-dirty the
-      // payload's lines either way (its bytes changed at registration
-      // time, so any already-flushed record is stale).
-      if (td.slot_filter_epoch[e % 4] != e) {
-        td.slot_filter_lines[e % 4].clear();
-        td.slot_filter_epoch[e % 4] = e;
-      }
-      if (td.ring_members[e % 4].contains(ent.blk)) {
-        slot_filter_dirty(td, e, ent.blk);
-        telemetry::count(telemetry::Ctr::kWbDedupHits);
-        continue;
-      }
-    } else if (!ring.empty() && td.ring_epoch[e % 4] == e &&
-               ring.back() == ent.blk) {
-      continue;
-    }
-    // Deliberately NOT ring_push: pushing past the capacity bound avoids
-    // the overflow eviction's persistence event, which keeps this callable
-    // from the noexcept abort/adopt rollbacks. The excess (at most
-    // kStageCap entries) drains at the next boundary.
-    if (ring.empty()) td.ring_epoch[e % 4] = e;
-    ring.push_back(ent.blk);
-    if (opts_.coalesce) {
-      td.ring_members[e % 4].insert(ent.blk);
-      slot_filter_dirty(td, e, ent.blk);
-    }
-    pushed = true;
-  }
-  td.stage_tail.store(tail, std::memory_order_release);
-  if (pushed) update_mindicator(td, static_cast<int>(&td - tds_.get()));
-}
-
 std::size_t EpochSys::drain_ring(ThreadData& td, uint64_t e,
-                                 std::vector<uint64_t>* boundary_filter,
-                                 uint64_t seal_below) {
+                                 std::vector<uint64_t>* boundary_filter) {
   std::lock_guard lk(td.m);
-  flush_staging(td, seal_below);
   auto& ring = td.to_persist[e % 4];
   if (ring.empty() || td.ring_epoch[e % 4] != e) return 0;
   const std::size_t n = ring.size();
@@ -1016,133 +880,6 @@ std::size_t EpochSys::drain_ring(ThreadData& td, uint64_t e,
   td.ring_members[e % 4].clear();
   update_mindicator(td, static_cast<int>(&td - tds_.get()));
   return n;
-}
-
-namespace {
-// Consume one abandon token (test hook): true means the caller should walk
-// away from a shard claim it just won, simulating a claimant dying mid-drain.
-bool consume_abandon(std::atomic<int>& counter) {
-  int n = counter.load(std::memory_order_acquire);
-  while (n > 0) {
-    if (counter.compare_exchange_weak(n, n - 1, std::memory_order_acq_rel,
-                                      std::memory_order_acquire)) {
-      return true;
-    }
-  }
-  return false;
-}
-}  // namespace
-
-std::size_t EpochSys::drain_shard(int s, uint64_t ep,
-                                  std::vector<uint64_t>* filter) {
-  const int hwm = tid_hwm_.load(std::memory_order_acquire);
-  std::size_t drained = 0;
-  for (int t = 0; t < hwm; ++t) {
-    if (util::shard_of(t, nshards_) != s) continue;
-    drained += drain_ring(tds_[t], ep, filter, ep + 1);
-  }
-  telemetry::count(telemetry::Ctr::kEpochShardDrains);
-  // CAS-max: `done` never regresses. A stale claimant replaying a lost lap
-  // (or a PersistError retry racing a successful helper) must not roll the
-  // completion frontier back below a boundary that already finished.
-  ShardTicket& tk = shard_tickets_[s];
-  uint64_t cur = tk.done.load(std::memory_order_acquire);
-  while (cur < ep && !tk.done.compare_exchange_weak(
-                         cur, ep, std::memory_order_acq_rel,
-                         std::memory_order_acquire)) {
-  }
-  return drained;
-}
-
-std::size_t EpochSys::drain_boundary_sharded(ThreadData& me, uint64_t ep) {
-  const int my_tid = static_cast<int>(&me - tds_.get());
-  const int my_shard = util::shard_of(my_tid, nshards_);
-  std::vector<uint64_t>* filter =
-      opts_.coalesce ? &me.wb_filter_lines : nullptr;
-  // Publish the boundary epoch: from here until the clock CAS, shield
-  // spinners may claim and drain shards on our behalf. drain_epoch_ is only
-  // meaningful while ep + 1 == clock (help_drain_boundary re-checks).
-  drain_epoch_.store(ep, std::memory_order_release);
-  std::size_t drained = 0;
-  // Claim pass: own shard first (its rings are the ones this thread's cache
-  // already touched), then the rest ascending from ours so concurrent
-  // advancers starting at different shards fan out instead of colliding.
-  for (int k = 0; k < nshards_; ++k) {
-    const int s = (my_shard + k) % nshards_;
-    ShardTicket& tk = shard_tickets_[s];
-    uint64_t expect = tk.claim.load(std::memory_order_acquire);
-    if (expect >= ep) continue;  // already claimed for this (or a newer) tick
-    if (!tk.claim.compare_exchange_strong(expect, ep,
-                                          std::memory_order_acq_rel,
-                                          std::memory_order_acquire)) {
-      continue;  // raced with a helper or concurrent advancer
-    }
-    if (s != my_shard && consume_abandon(drain_abandon_claims_)) {
-      continue;  // test hook: win the claim, then die before draining
-    }
-    drained += drain_shard(s, ep, filter);
-  }
-  // Takeover pass: the boundary cannot fence+tick until every shard reports
-  // done >= ep. A claimant that stalled or died leaves done behind; after a
-  // bounded courtesy wait we re-drain the shard ourselves. drain_ring is
-  // idempotent under td.m (a drained ring is empty), so a duplicate drain
-  // wastes at most a scan.
-  for (int s = 0; s < nshards_; ++s) {
-    ShardTicket& tk = shard_tickets_[s];
-    if (tk.done.load(std::memory_order_acquire) >= ep) continue;
-    const uint64_t spin_end = util::now_ns() + kShieldSpinNs;
-    while (tk.done.load(std::memory_order_acquire) < ep &&
-           util::now_ns() < spin_end) {
-      std::this_thread::yield();
-    }
-    if (tk.done.load(std::memory_order_acquire) >= ep) continue;
-    telemetry::count(telemetry::Ctr::kEpochDrainTakeovers);
-    drained += drain_shard(s, ep, filter);
-  }
-  return drained;
-}
-
-bool EpochSys::help_drain_boundary(ThreadData& me) {
-  const uint64_t ep = drain_epoch_.load(std::memory_order_acquire);
-  // A published boundary is live only while its tick is still pending: once
-  // the clock moves past ep + 1 the tickets belong to history (and will be
-  // re-claimed at the next boundary), so helping would drain nothing.
-  if (ep < kFirstEpoch || ep + 1 != clock_->load(std::memory_order_acquire)) {
-    return false;
-  }
-  const int my_tid = static_cast<int>(&me - tds_.get());
-  const int my_shard = util::shard_of(my_tid, nshards_);
-  std::vector<uint64_t>* filter = nullptr;
-  if (opts_.coalesce) {
-    // Helpers keep their own epoch-stamped line filter (shard-local dedup):
-    // a shard is drained by exactly one claimant, so within-shard lines
-    // still flush once; only a line shared across shard boundaries can
-    // flush twice, which correctness never depended on.
-    if (me.wb_filter_epoch != ep) {
-      me.wb_filter_lines.clear();
-      me.wb_filter_epoch = ep;
-    }
-    filter = &me.wb_filter_lines;
-  }
-  bool helped = false;
-  for (int s = 0; s < nshards_; ++s) {
-    ShardTicket& tk = shard_tickets_[s];
-    uint64_t expect = tk.claim.load(std::memory_order_acquire);
-    if (expect >= ep) continue;
-    if (!tk.claim.compare_exchange_strong(expect, ep,
-                                          std::memory_order_acq_rel,
-                                          std::memory_order_acquire)) {
-      continue;
-    }
-    telemetry::count(telemetry::Ctr::kEpochDrainHelperClaims);
-    if (s != my_shard && consume_abandon(drain_abandon_claims_)) {
-      helped = true;  // test hook: claimed, then vanished mid-drain
-      continue;
-    }
-    drain_shard(s, ep, filter);
-    helped = true;
-  }
-  return helped;
 }
 
 void EpochSys::update_mindicator(ThreadData& td, int tid) {
@@ -1232,14 +969,6 @@ void EpochSys::adopt_thread(int tid, uint64_t upto) {
     return;
   }
   td.adopted.store(true, std::memory_order_release);
-  // Seal the orphan's staging through its op epoch, then fold the staged
-  // entries into the rings (seal-then-scan): the rollback's present-checks
-  // below must see every fast-path registration, and a resurrected owner
-  // that beats the adopted flag races either the seal (falls back to the
-  // mutex path, which throws Orphaned) or leaves a duplicate staged entry
-  // that later flushes as a rewrite of a dead-marked header — harmless.
-  // flush_staging never evicts, so no persistence event is issued here.
-  flush_staging(td, e + 1);
   // Replay abort_op's rollback on the orphan's behalf: cancel its queued
   // pdeletes, dead-mark everything the operation allocated and route it
   // through ring + deferred reclamation (see abort_op for why this is
@@ -1289,7 +1018,8 @@ void EpochSys::bump_durable_clock(uint64_t v) {
   }
 }
 
-bool EpochSys::try_advance_epoch(uint64_t abs_deadline_ns) {
+bool EpochSys::try_advance_epoch(uint64_t abs_deadline_ns,
+                                 telemetry::Ctr cause) {
   if (opts_.transient) return true;
   // Advance latency is measured from entry (gate and shield waits included —
   // contention IS part of what a slow clock feels like).
@@ -1336,11 +1066,6 @@ bool EpochSys::try_advance_epoch(uint64_t abs_deadline_ns) {
         return false;
       }
       if (now > spin_end) break;  // wedged holder: go lock-free
-      // Sharded boundaries turn shield spinners into drain helpers: claim
-      // and drain any shard the leader has published but not yet claimed,
-      // so boundary write-back cost scales with shard width (DESIGN.md
-      // §15) instead of burning the wait on yield().
-      if (nshards_ > 1 && help_drain_boundary(my_td())) continue;
       std::this_thread::yield();
     }
   }
@@ -1369,11 +1094,6 @@ bool EpochSys::try_advance_epoch(uint64_t abs_deadline_ns) {
     for (int t = 0; t < hwm; ++t) {
       ThreadData& td = tds_[t];
       std::lock_guard tlk(td.m);
-      // Staged registrations must be ring-visible before the seal pass —
-      // the line-overlap checks below only see the rings. The seal word
-      // (e) closes epoch e-1 staging for good, so nothing can slip in
-      // between this pass and the drain.
-      flush_staging(td, e);
       if (td.ring_epoch[(e - 1) % 4] == e - 1) {
         for (PBlk* p : td.to_persist[(e - 1) % 4]) p->blk_seal();
       }
@@ -1389,24 +1109,14 @@ bool EpochSys::try_advance_epoch(uint64_t abs_deadline_ns) {
       me.wb_filter_epoch = e - 1;
     }
     const std::size_t filter_before = me.wb_filter_lines.size();
-    if (nshards_ > 1) {
-      drained += drain_boundary_sharded(me, e - 1);
-    } else {
-      for (int t = 0; t < hwm; ++t) {
-        drained += drain_ring(tds_[t], e - 1, &me.wb_filter_lines);
-      }
+    for (int t = 0; t < hwm; ++t) {
+      drained += drain_ring(tds_[t], e - 1, &me.wb_filter_lines);
     }
     boundary_lines = me.wb_filter_lines.size() - filter_before;
-  } else if (nshards_ > 1) {
-    drained += drain_boundary_sharded(my_td(), e - 1);
   } else {
     for (int t = 0; t < hwm; ++t) drained += drain_ring(tds_[t], e - 1);
   }
-  // Sharded boundaries always fence: a helper may have flushed lines this
-  // thread never saw (its drained count lives in the helper), and the data
-  // fence must cover those flushes before the clock CAS below. The flat
-  // path keeps the drained>0 elision.
-  if (drained > 0 || nshards_ > 1) fence_retry();
+  if (drained > 0) fence_retry();
   // 3. Reclaim payloads whose grace period expired (unless workers do it).
   // Safe without exclusive ownership: reclaim_list swaps each list out
   // under td.m (a block is reclaimed once) and skips slots holding epochs
@@ -1444,9 +1154,7 @@ bool EpochSys::try_advance_epoch(uint64_t abs_deadline_ns) {
   if (won) {
     if constexpr (telemetry::kEnabled) {
       telemetry::count(telemetry::Ctr::kEpochAdvances);
-      if (!tls_is_advancer) {
-        telemetry::count(telemetry::Ctr::kCooperativeAdvances);
-      }
+      if (cause != telemetry::Ctr::kCount) telemetry::count(cause);
       telemetry::count(telemetry::Ctr::kWbBoundary, drained);
       telemetry::observe(telemetry::Hist::kAdvanceLatency,
                          util::now_ns() - t0);
@@ -1523,7 +1231,7 @@ bool EpochSys::sync_for(uint64_t deadline_ns) {
   uint64_t advances = 0;
   while (clock_->load(std::memory_order_acquire) < target + 2) {
     help_persist_up_to(clock_->load(std::memory_order_acquire) - 1);
-    if (!try_advance_epoch(abs_deadline)) {
+    if (!try_advance_epoch(abs_deadline, telemetry::Ctr::kSyncAdvances)) {
       telemetry::count(telemetry::Ctr::kSyncTimeouts);
       if constexpr (telemetry::kEnabled) {
         telemetry::observe(telemetry::Hist::kSyncLatency,
@@ -1624,14 +1332,13 @@ void EpochSys::watchdog_poke(ThreadData& td) {
   // itself — the killed pacer costs nothing but the pacing hint. Every
   // successful advance refreshes last_tick_ns_, so a healthy cooperative-
   // only configuration never crosses the watchdog_ns_ alarm threshold
-  // below. Skipped when watchdog_restart opts into the thread-replacement
-  // model (pacing would mask the death the restart is meant to repair).
-  if (opts_.cooperative_advance && !opts_.watchdog_restart && advancer_dead &&
-      stale >= pace && stale < watchdog_ns_) {
+  // below.
+  if (advancer_dead && stale >= pace && stale < watchdog_ns_) {
     const uint64_t jitter = xorshift64(td.wd_rng) % (pace / 2 + 1);
     if (stale >= pace + jitter) {
       try {
-        (void)try_advance_epoch(now + watchdog_ns_);
+        (void)try_advance_epoch(now + watchdog_ns_,
+                                telemetry::Ctr::kCooperativeAdvances);
       } catch (...) {
         // PersistError here is the advance's problem, not this operation's;
         // the caller's own write-backs surface their own errors.
@@ -1644,24 +1351,18 @@ void EpochSys::watchdog_poke(ThreadData& td) {
   const uint64_t jitter = xorshift64(td.wd_rng) % (watchdog_ns_ / 2 + 1);
   if (stale < watchdog_ns_ + jitter) return;
   if (advancer_dead) {
-    if (opts_.watchdog_restart) {
-      telemetry::count(telemetry::Ctr::kWatchdogRestarts);
-      telemetry::trace(telemetry::Ev::kWatchdogRestart, stale);
-      start_advancer();
-    } else {
-      // Telemetry-only alarm: the clock is genuinely stale — neither the
-      // advancer nor cooperative ticking is moving it (e.g. a wedged peer
-      // is blocking wait_all and adoption has not fired). Liveness recovery
-      // is the cooperative advance below, not a replacement thread.
-      telemetry::count(telemetry::Ctr::kWatchdogAlarms);
-      telemetry::trace(telemetry::Ev::kWatchdogRestart, stale);
-    }
+    // Telemetry-only alarm: the clock is genuinely stale — neither the
+    // advancer nor cooperative ticking is moving it (e.g. a wedged peer is
+    // blocking wait_all and adoption has not fired). Liveness recovery is
+    // the cooperative advance below, never a replacement thread.
+    telemetry::count(telemetry::Ctr::kWatchdogAlarms);
+    telemetry::trace(telemetry::Ev::kWatchdogRestart, stale);
   }
-  // Drive the clock cooperatively either way: a restarted advancer first
-  // sleeps a full epoch (and may die again immediately on a persistent
-  // fault), and in alarm-only mode this IS the recovery path.
+  // Drive the clock cooperatively: with a dead advancer this IS the
+  // recovery path; with a live but stalled one it keeps the clock moving.
   try {
-    (void)try_advance_epoch(now + watchdog_ns_);
+    (void)try_advance_epoch(now + watchdog_ns_,
+                            telemetry::Ctr::kCooperativeAdvances);
   } catch (...) {
     // PersistError here is the advance's problem, not this operation's; the
     // caller's own write-backs will surface their own errors.

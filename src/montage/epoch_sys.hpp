@@ -23,16 +23,17 @@
 // The advance itself is cooperative and advancer-free (DESIGN.md §12): any
 // thread may perform steps 1-4, and the clock tick in step 4 is a CAS, so
 // concurrent advancers serialize on the clock word rather than on a lock.
-// The background advancer thread is only a pacing hint — when it dies,
-// workers notice the lagging clock on their next begin_op and tick it
-// themselves, and sync() drives its own advances, so killing the advancer
-// never degrades liveness.
+// There is one clock, one mindicator, one boundary drain and one
+// registration path (the per-thread mutex). The background advancer thread
+// is only a pacing hint and is never restarted — when it dies, workers
+// notice the lagging clock on their next begin_op and tick it themselves,
+// and sync() drives its own advances, so killing the advancer never
+// degrades liveness.
 //
 // A liveness layer (DESIGN.md §8) keeps this pipeline making progress under
 // execution faults: operations stalled past Options::op_deadline_ns are
 // adopted (rolled back and their buffers persisted) by whoever is advancing
-// the clock, a staleness watchdog raises a telemetry alarm (and, only when
-// Options::watchdog_restart opts in, restarts the advancer), transient
+// the clock, a staleness watchdog raises a telemetry alarm, transient
 // device errors (nvm::IoError) are retried with exponential backoff before
 // surfacing as PersistError, and allocation failure triggers an emergency
 // advance-and-reclaim pass before giving up with std::bad_alloc.
@@ -127,15 +128,12 @@ class EpochSys {
     int max_threads = util::ThreadIdPool::kMaxThreads;
     std::size_t buffer_capacity = 64;  ///< to_persist ring size; 0 = unbounded
     uint64_t epoch_length_ns = 10'000'000;  ///< 10 ms, the paper's default
-    /// Run the background epoch advancer. With cooperative_advance it is a
-    /// pacing hint only; without it (false) the clock is driven manually
-    /// (advance_epoch / sync), which is what deterministic tests rely on.
+    /// Run the background epoch advancer, a pacing hint only: workers that
+    /// observe the clock lagging a full epoch_length_ns while no advancer
+    /// thread is alive tick it cooperatively from begin_op (DESIGN.md §12).
+    /// false = the clock is driven manually (advance_epoch / sync) and
+    /// workers never tick it, which is what deterministic tests rely on.
     bool start_advancer = true;
-    /// Workers that observe the clock lagging a full epoch_length_ns while
-    /// no advancer thread is alive tick it cooperatively from begin_op
-    /// (DESIGN.md §12). Only active when start_advancer is set — manual
-    /// clock configurations must stay deterministic.
-    bool cooperative_advance = true;
     WriteBack write_back = WriteBack::kBuffered;
     /// Cache-line coalescing write-back buffers (DESIGN.md §13): dedup
     /// same-PBlk re-registrations within an epoch, and drain buffers by
@@ -149,12 +147,6 @@ class EpochSys {
     bool local_free = false;   ///< workers reclaim their own to_free lists
     bool direct_free = false;  ///< UNSAFE, bench-only: reclaim immediately
     bool transient = false;    ///< Montage(T): payloads in NVM, no persistence
-    /// Shard-aware epoch accounting (DESIGN.md §15): number of shards for
-    /// the per-shard mindicator trees and the parallel boundary drain.
-    /// 0 = resolve from the machine topology (util::topology_shards()).
-    /// Env MONTAGE_EPOCH_SHARDS overrides both; 1 restores the pre-sharding
-    /// single-tree, single-drainer behavior exactly.
-    int epoch_shards = 0;
 
     // ---- liveness layer (DESIGN.md §8) ----
     /// Adopt (abort + help-persist) an operation stalled longer than this;
@@ -166,11 +158,6 @@ class EpochSys {
     /// MONTAGE_STALL_WATCHDOG_MS overrides. Only active when start_advancer
     /// is set (manual-clock configurations drive the epoch themselves).
     uint64_t watchdog_ns = 0;
-    /// Opt-in: let the watchdog restart a dead advancer thread when the
-    /// clock goes stale. Off by default — cooperative advance keeps the
-    /// clock live without a replacement thread, so the watchdog is a
-    /// telemetry-only alarm (DESIGN.md §12).
-    bool watchdog_restart = false;
     /// Transient write-back failures (nvm::IoError) are retried this many
     /// times, with exponential backoff starting at wb_backoff_ns, before a
     /// PersistError is raised.
@@ -221,13 +208,22 @@ class EpochSys {
   /// payloads are labeled when the operation begins (paper §3.1).
   template <typename T, typename... Args>
   T* pnew(Args&&... args) {
+    return pnew<T>(BlkTag{0}, std::forward<Args>(args)...);
+  }
+
+  /// As above, stamping the structure-defined payload kind (see
+  /// PBlk::blk_tag) into the header before the block is registered for
+  /// write-back, so every seal — by this thread or a concurrent drain —
+  /// already covers the tag.
+  template <typename T, typename... Args>
+  T* pnew(BlkTag tag, Args&&... args) {
     static_assert(std::is_base_of_v<PBlk, T>);
     static_assert(std::is_trivially_copyable_v<T>,
                   "Montage payloads must be trivially copyable");
     void* mem = allocate_payload(sizeof(T));
     T* obj = new (mem) T(std::forward<Args>(args)...);
     try {
-      init_new_block(obj, sizeof(T));
+      init_new_block(obj, sizeof(T), tag.value);
     } catch (...) {
       // Never registered anywhere: return the raw block (header was never
       // sealed or persisted, so recovery cannot see it either).
@@ -303,13 +299,12 @@ class EpochSys {
   // ---- advancer lifecycle ----------------------------------------------------
 
   /// Stop the background advancer and join its thread. Idempotent and
-  /// thread-safe: double stops, stop-before-start, and stops racing a
-  /// watchdog restart are all harmless.
+  /// thread-safe: double stops and stop-before-start are harmless.
   void stop_advancer();
 
   /// (Re)start the background advancer. Reaps a dead advancer body first;
   /// a no-op when one is already running or the EpochSys is shutting down.
-  /// The watchdog calls this only when Options::watchdog_restart opts in.
+  /// Nothing in the library calls this: a dead advancer is never replaced.
   void start_advancer();
 
   /// True while the advancer loop is live (its thread has not exited).
@@ -319,24 +314,10 @@ class EpochSys {
 
   /// TEST ONLY: make the advancer thread exit abruptly at its next wake-up,
   /// as if it had been killed — no cleanup, stop flag untouched. Used to
-  /// exercise cooperative advance (and, with Options::watchdog_restart, the
-  /// restart path) deterministically.
+  /// exercise cooperative advance deterministically.
   void inject_advancer_kill() {
     advancer_kill_.store(true, std::memory_order_release);
   }
-
-  /// TEST ONLY: make the next `n` remote-shard drain claims abandon the
-  /// shard after winning its ticket (claim published, drain never run, done
-  /// never marked) — a helper dying mid-claim. The boundary leader's
-  /// takeover pass must then finish the shard; deterministic fuel for the
-  /// sharded cooperative-liveness tests.
-  void inject_drain_claim_abandon(int n) {
-    drain_abandon_claims_.store(n, std::memory_order_release);
-  }
-
-  /// Number of epoch shards this instance resolved (DESIGN.md §15); 1 means
-  /// the sharded paths are disabled and behavior matches the flat system.
-  int epoch_shards() const { return nshards_; }
 
   /// Operations adopted from stalled threads since construction.
   uint64_t adopted_op_count() const {
@@ -368,9 +349,8 @@ class EpochSys {
   ralloc::Ralloc* ralloc() const { return ral_; }
   /// Effective options (env overrides applied).
   const Options& options() const { return opts_; }
-  /// The min-epoch tracker over per-thread write-back buffers (per-shard
-  /// trees behind a top-level min-combine; min() is the global minimum).
-  const ShardedMindicator& mindicator() const { return mind_; }
+  /// The min-epoch tracker over per-thread write-back buffers.
+  const Mindicator& mindicator() const { return mind_; }
 
   // ---- thread-local access for the field macros ------------------------------
 
@@ -445,35 +425,12 @@ class EpochSys {
     std::atomic<bool> adopted{false};
     uint64_t uid_next = 0;  ///< per-thread uid block cursor
     uint64_t uid_limit = 0;
-
-    // ---- SPSC write-back staging (DESIGN.md §15) ----
-    // The owner's lock-free register_write fast path: the owner is the sole
-    // producer (publish entry, then release-store stage_head); every
-    // consumer — boundary drain, sync vacuum, helping scan, adoption —
-    // already serializes on td.m and flushes the staged entries into the
-    // epoch rings (flush_staging) before reading or reusing ring state, so
-    // staged payloads are never skipped by a drain. stage_seal is the
-    // epoch-tagged seal word: a consumer draining epoch e stores e+1 before
-    // scanning, and the producer re-checks it after publishing — an op whose
-    // epoch is already sealed takes the mutex path instead, so a staged
-    // entry can never belong to a boundary that has already drained.
-    struct StageEntry {
-      PBlk* blk;       ///< payload registered for write-back
-      uint64_t epoch;  ///< op epoch at registration (rings are per-epoch)
-    };
-    static constexpr std::size_t kStageCap = 128;  ///< fast-path ring size
-    StageEntry stage[kStageCap];
-    std::atomic<uint64_t> stage_head{0};  ///< producer cursor (release)
-    std::atomic<uint64_t> stage_tail{0};  ///< consumer cursor (under td.m)
-    std::atomic<uint64_t> stage_seal{0};  ///< epochs < seal are closed
-    PBlk* stage_last_blk = nullptr;  ///< owner-only: last staged payload,
-    uint64_t stage_last_idx = 0;     ///< and its slot, for back-to-back dedup
   };
 
   ThreadData& my_td() { return tds_[util::thread_id()]; }
   const ThreadData& my_td() const { return tds_[util::thread_id()]; }
 
-  void init_new_block(PBlk* p, std::size_t size);
+  void init_new_block(PBlk* p, std::size_t size, uint32_t tag);
   uint64_t next_uid(ThreadData& td);
 
   /// register_write's body, for callers already holding td.m (which is also
@@ -522,12 +479,8 @@ class EpochSys {
   /// Options::coalesce the write-back is line-coalesced; `boundary_filter`
   /// (nullable) is the advancing thread's per-boundary line filter, letting
   /// the epoch-boundary drain skip lines already persisted this epoch.
-  /// `seal_below` (0 = none) closes epochs < seal_below against the SPSC
-  /// fast path before the staged entries are folded in — boundary drains
-  /// pass e+1, helping/vacuum drains leave the seal alone.
   std::size_t drain_ring(ThreadData& td, uint64_t e,
-                         std::vector<uint64_t>* boundary_filter = nullptr,
-                         uint64_t seal_below = 0);
+                         std::vector<uint64_t>* boundary_filter = nullptr);
 
   /// Invalidate and reclaim every block on `td.to_free[e % 4]`; returns the
   /// number of blocks reclaimed.
@@ -543,7 +496,10 @@ class EpochSys {
   /// wedged peer (or a recovery in progress) cannot be gotten past in time.
   /// Returns true as soon as the clock has moved past the value observed at
   /// entry — whether this thread's CAS won or a concurrent advancer's did.
-  bool try_advance_epoch(uint64_t abs_deadline_ns);
+  /// A won tick counts as epoch.advances and, when `cause` is given, also
+  /// under that counter (cooperative pacing vs. sync-driven).
+  bool try_advance_epoch(uint64_t abs_deadline_ns,
+                         telemetry::Ctr cause = telemetry::Ctr::kCount);
 
   /// Drain the calling thread's own to_persist rings (sync vacuuming);
   /// returns the number of payloads written back.
@@ -574,38 +530,11 @@ class EpochSys {
 
   /// Cooperative pacing + staleness watchdog, run from begin_op: tick the
   /// clock when no advancer is pacing it, and raise the telemetry alarm
-  /// (restarting the advancer only if Options::watchdog_restart) when the
-  /// clock has gone watchdog_ns_ stale.
+  /// when the clock has gone watchdog_ns_ stale.
   void watchdog_poke(ThreadData& td);
 
   void help_persist_up_to(uint64_t e);
   void update_mindicator(ThreadData& td, int tid);
-
-  /// Move every entry of td's SPSC staging ring into the per-epoch rings
-  /// (ring_push, which also re-dirties the slot filters). Caller holds td.m.
-  /// `seal_below` (0 = none) additionally closes epochs < seal_below against
-  /// further fast-path staging before the scan.
-  void flush_staging(ThreadData& td, uint64_t seal_below = 0);
-
-  /// Drain the epoch-`e` rings of every thread mapped to shard `s`
-  /// (boundary leg of the parallel drain). `filter` is the draining
-  /// thread's per-boundary line filter — shard-local by construction, so
-  /// the §13 coalescing invariants hold per drainer. Marks the shard's
-  /// ticket done and counts epoch.shard_drains. Returns blocks drained.
-  std::size_t drain_shard(int s, uint64_t e, std::vector<uint64_t>* filter);
-
-  /// The nshards_ > 1 boundary drain (DESIGN.md §15): publish the per-shard
-  /// drain tickets for epoch `e`, drain the caller's own shard, CAS-claim
-  /// the rest, and finish with a takeover pass that re-drains any shard
-  /// whose claimer died before marking it done. Returns blocks drained by
-  /// this thread.
-  std::size_t drain_boundary_sharded(ThreadData& me, uint64_t e);
-
-  /// Contention-shield helper: while another advancer leads the boundary,
-  /// claim-and-drain unclaimed shards of the published drain epoch. Counts
-  /// epoch.drain_helper_claims per shard claimed. Returns true if any shard
-  /// was drained.
-  bool help_drain_boundary(ThreadData& me);
 
   void advancer_loop();
   void start_advancer_locked();
@@ -615,26 +544,8 @@ class EpochSys {
   uint64_t crash_epoch_ = 0;  ///< clock value found at recover-construction
   std::atomic<uint64_t>* clock_;  ///< persistent epoch clock (a region root)
   std::unique_ptr<ThreadData[]> tds_;
-  /// Resolved shard count (Options::epoch_shards / env / topology); fixed
-  /// at construction. Declared before mind_, which is sized from it.
-  int nshards_ = 1;
-  ShardedMindicator mind_;
+  Mindicator mind_;
   std::atomic<uint64_t>* uid_root_;  ///< persistent uid high-water mark
-  /// Per-shard boundary drain tickets (DESIGN.md §15). `claim` is the
-  /// highest epoch some drainer has committed to draining for this shard
-  /// (CAS-advanced, monotone); `done` is the highest epoch whose drain
-  /// completed (CAS-max). claim > done means a drain is in flight — or its
-  /// claimer died, which the leader's takeover pass repairs.
-  struct alignas(util::kCacheLineSize) ShardTicket {
-    std::atomic<uint64_t> claim{0};  ///< highest epoch claimed for drain
-    std::atomic<uint64_t> done{0};   ///< highest epoch fully drained
-  };
-  std::unique_ptr<ShardTicket[]> shard_tickets_;
-  /// Epoch whose boundary drain is currently published (0 = none); helpers
-  /// read it to find work while spinning in the contention shield.
-  std::atomic<uint64_t> drain_epoch_{0};
-  /// TEST ONLY fuel for inject_drain_claim_abandon.
-  std::atomic<int> drain_abandon_claims_{0};
   /// Contention shield for concurrent advancers: held via try_lock only,
   /// never waited on unboundedly — a thread that cannot get it within a
   /// short spin proceeds lock-free (the clock CAS arbitrates). Purely a
@@ -656,10 +567,10 @@ class EpochSys {
   std::atomic<int> tid_hwm_{0};
   std::thread advancer_;
   std::atomic<bool> stop_{false};
-  std::mutex advancer_mutex_;  ///< guards advancer_ start/stop/restart
+  std::mutex advancer_mutex_;  ///< guards advancer_ start/stop
   std::atomic<bool> advancer_running_{false};
   std::atomic<bool> advancer_kill_{false};  ///< test hook: simulate a kill
-  std::atomic<bool> shutdown_{false};       ///< destructor: no restarts
+  std::atomic<bool> shutdown_{false};       ///< destructor: no more starts
   std::atomic<uint64_t> last_tick_ns_{0};
   std::atomic<uint64_t> adopted_ops_{0};
   uint64_t watchdog_ns_ = 0;  ///< resolved staleness threshold

@@ -14,10 +14,8 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "util/padded.hpp"
-#include "util/pin.hpp"
 #include "util/telemetry.hpp"
 
 namespace montage {
@@ -96,68 +94,6 @@ class Mindicator {
   int leaves_;
   std::unique_ptr<std::atomic<uint64_t>[]> nodes_;
   std::unique_ptr<std::atomic<bool>[]> parked_;
-};
-
-// Shard-aware mindicator (DESIGN.md §15): one Mindicator tree per topology
-// shard plus a tiny read-side min-combine over the shard roots. A leaf (=
-// thread id) lives in exactly one shard tree, so the O(log n) update path of
-// set()/park() touches only that shard's cache lines — cross-socket traffic
-// on the hot registration path disappears, and only the rare min() reader
-// walks all roots. With one shard this degenerates to the flat Mindicator.
-class ShardedMindicator {
- public:
-  /// Same idle sentinel as the flat tree.
-  static constexpr uint64_t kIdle = Mindicator::kIdle;
-
-  /// A sharded tree over `nleaves` leaves split across `nshards` shard
-  /// trees (each tree is sized for the full leaf range; a leaf only ever
-  /// writes its own shard's tree).
-  ShardedMindicator(int nleaves, int nshards)
-      : nleaves_(nleaves), nshards_(nshards < 1 ? 1 : nshards) {
-    shards_.reserve(static_cast<std::size_t>(nshards_));
-    for (int s = 0; s < nshards_; ++s) shards_.emplace_back(nleaves);
-  }
-
-  /// Set leaf `i` in its shard tree (see Mindicator::set).
-  void set(int i, uint64_t v) { tree(i).set(i, v); }
-
-  /// Park leaf `i` in its shard tree (see Mindicator::park).
-  void park(int i) { tree(i).park(i); }
-
-  /// Re-admit leaf `i` (see Mindicator::unpark).
-  void unpark(int i) { tree(i).unpark(i); }
-
-  /// Whether leaf `i` is parked.
-  bool parked(int i) const { return tree(i).parked(i); }
-
-  /// Current value of leaf `i`.
-  uint64_t get(int i) const { return tree(i).get(i); }
-
-  /// Minimum across all leaves: the top-level min-combine over shard roots.
-  uint64_t min() const {
-    uint64_t m = kIdle;
-    for (const auto& s : shards_) {
-      const uint64_t r = s.min();
-      if (r < m) m = r;
-    }
-    return m;
-  }
-
-  /// Leaf capacity of each shard tree.
-  int capacity() const { return shards_.front().capacity(); }
-
-  /// Number of shard trees.
-  int shards() const { return nshards_; }
-
- private:
-  Mindicator& tree(int i) { return shards_[util::shard_of(i, nshards_)]; }
-  const Mindicator& tree(int i) const {
-    return shards_[util::shard_of(i, nshards_)];
-  }
-
-  int nleaves_;
-  int nshards_;
-  std::vector<Mindicator> shards_;
 };
 
 }  // namespace montage

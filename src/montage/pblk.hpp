@@ -18,7 +18,6 @@
 // vtables, no owning members. Use util::InlineStr for string data.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <type_traits>
@@ -37,6 +36,14 @@ inline constexpr uint64_t kNoEpoch = ~0ull;
 
 class EpochSys;
 
+/// Structure-defined payload kind, for containers persisting more than one
+/// payload type (e.g. graph vertices vs edges). Passed as the first argument
+/// of EpochSys::pnew, which writes it into the header before the block is
+/// registered for write-back.
+struct BlkTag {
+  uint32_t value;
+};
+
 class PBlk {
  public:
   PBlk() = default;
@@ -44,18 +51,15 @@ class PBlk {
   uint64_t blk_epoch() const { return epoch_; }
   uint64_t blk_uid() const { return uid_; }
   BlkType blk_type() const { return static_cast<BlkType>(blktype_); }
-  uint32_t blk_tag() const { return tag_ref().load(std::memory_order_relaxed); }
+  uint32_t blk_tag() const { return user_tag_; }
   uint64_t blk_size() const { return size_; }
   bool blk_live() const { return magic_ == kPBlkMagic; }
 
-  /// Structure-defined payload kind, for containers persisting more than one
-  /// payload type (e.g. graph vertices vs edges). Set after PNEW — which is
-  /// outside the per-thread lock, so the tag word is the one header field an
-  /// adopter (DESIGN.md §8) can seal concurrently with the owner's store;
-  /// both sides go through atomic_ref to keep that well-defined.
-  void set_blk_tag(uint32_t tag) {
-    tag_ref().store(tag, std::memory_order_relaxed);
-  }
+  /// Rewrite the tag of a header COPY, e.g. one read out of a crash image
+  /// for offline inspection. Never call it on a live payload: its header may
+  /// already be sealed by a concurrent drain, and the store would leave the
+  /// checksum stale. Live payloads take their tag from pnew (BlkTag).
+  void set_blk_tag(uint32_t tag) { user_tag_ = tag; }
 
   /// Mixes every header word into a 64-bit check word (never 0, so the
   /// zero-initialized "never sealed" state can never verify). EpochSys seals
@@ -88,9 +92,6 @@ class PBlk {
   uint64_t magic_ = 0;
   uint64_t epoch_ = kNoEpoch;
   uint64_t uid_ = 0;
-  std::atomic_ref<uint32_t> tag_ref() const {
-    return std::atomic_ref<uint32_t>(const_cast<uint32_t&>(user_tag_));
-  }
 
   uint32_t blktype_ = 0;
   uint32_t user_tag_ = 0;

@@ -6,7 +6,6 @@
 #include <string>
 #include <thread>
 
-#include "util/pin.hpp"
 #include "util/telemetry.hpp"
 
 namespace montage::ralloc {
@@ -21,7 +20,7 @@ constexpr std::size_t kClassSizes[] = {
     8192,  12288, 16384, 24576, 32768, 49152, 65536};
 constexpr int kNumClasses = static_cast<int>(std::size(kClassSizes));
 static_assert(kNumClasses <= Ralloc::kMaxClasses,
-              "central() stride must cover every size class");
+              "classes_ must cover every size class");
 constexpr std::size_t kMaxSmall = kClassSizes[kNumClasses - 1];
 constexpr std::size_t kCacheBatch = 32;
 
@@ -38,19 +37,6 @@ int my_ralloc_tid() {
 
 // Root slot reserved for the allocator's superblock high-water mark.
 constexpr int kSbCountRoot = 0;
-
-// Arena shard count: explicit ctor argument wins, then the
-// MONTAGE_EPOCH_SHARDS override, then the machine topology — the same
-// resolution order EpochSys uses, so allocator arenas and epoch shards
-// agree by default.
-int resolve_arena_shards(int requested) {
-  int s = requested;
-  if (s <= 0) s = util::epoch_shards_override();
-  if (s <= 0) s = util::topology_shards();
-  if (s < 1) s = 1;
-  if (s > util::kMaxShards) s = util::kMaxShards;
-  return s;
-}
 
 std::atomic<Ralloc*> g_default_ralloc{nullptr};
 
@@ -101,11 +87,9 @@ int Ralloc::class_index(std::size_t sz) {
 
 std::size_t Ralloc::class_size(int idx) { return kClassSizes[idx]; }
 
-Ralloc::Ralloc(nvm::Region* region, Mode mode, int arena_shards)
+Ralloc::Ralloc(nvm::Region* region, Mode mode)
     : region_(region),
       sb_count_(&region->root(kSbCountRoot)),
-      arena_shards_(resolve_arena_shards(arena_shards)),
-      classes_(static_cast<std::size_t>(arena_shards_) * kMaxClasses),
       caches_(std::make_unique<ThreadCache[]>(kMaxThreads)) {
   Ralloc* expected = nullptr;
   g_default_ralloc.compare_exchange_strong(expected, this,
@@ -203,10 +187,6 @@ void Ralloc::validate_descriptors(uint64_t count, bool strict) {
 
 Ralloc::ThreadCache& Ralloc::my_cache() { return caches_[my_ralloc_tid()]; }
 
-int Ralloc::my_arena_shard() {
-  return util::shard_of(my_ralloc_tid(), arena_shards_);
-}
-
 std::size_t Ralloc::reserve_superblocks(uint32_t n, uint64_t magic,
                                         uint32_t block_size) {
   std::lock_guard lk(sb_mutex_);
@@ -230,21 +210,17 @@ std::size_t Ralloc::reserve_superblocks(uint32_t n, uint64_t magic,
   return start;
 }
 
-void Ralloc::refill_class(int shard, int cls) {
+void Ralloc::refill_class(int cls) {
   const std::size_t bsz = class_size(cls);
   const std::size_t idx = reserve_superblocks(1, kSbMagicSmall,
                                               static_cast<uint32_t>(bsz));
-  // First-touch affinity: every block of the new superblock lands in the
-  // reserving thread's shard, so its future refills walk memory this shard
-  // already faulted and (on NUMA) placed locally.
   char* blocks = sb_base(idx) + kSbHeader;
   const std::size_t nblocks = (kSuperblockSize - kSbHeader) / bsz;
-  auto& list = central(shard, cls).free_blocks;
+  auto& list = classes_[cls].free_blocks;
   list.reserve(list.size() + nblocks);
   for (std::size_t i = 0; i < nblocks; ++i) {
     list.push_back(blocks + i * bsz);
   }
-  telemetry::count(telemetry::Ctr::kRallocArenaRefills);
 }
 
 void* Ralloc::allocate(std::size_t sz) {
@@ -263,36 +239,16 @@ void* Ralloc::allocate(std::size_t sz) {
       return p;
     }
   }
-  // Refill from this thread's shard arena; steal a batch from another
-  // shard's arena before reserving a fresh superblock, so backpressure
-  // (bad_alloc from reserve) still only fires when the whole region is
-  // exhausted. Never hold two central locks at once — the steal pass runs
-  // lock-free between acquisitions, so cross-shard steals cannot deadlock.
-  const int shard = my_arena_shard();
+  // Refill from central (creating a superblock if needed), keep one, stash
+  // the rest of the batch locally.
   std::vector<void*> batch;
-  auto take_batch = [&](SizeClass& sc) {
-    const std::size_t take = std::min(kCacheBatch, sc.free_blocks.size());
-    batch.assign(sc.free_blocks.end() - take, sc.free_blocks.end());
-    sc.free_blocks.resize(sc.free_blocks.size() - take);
-  };
   {
-    std::lock_guard lk(central(shard, cls).m);
-    if (!central(shard, cls).free_blocks.empty()) {
-      take_batch(central(shard, cls));
-    }
-  }
-  for (int k = 1; batch.empty() && k < arena_shards_; ++k) {
-    SizeClass& victim = central((shard + k) % arena_shards_, cls);
-    std::lock_guard lk(victim.m);
-    if (!victim.free_blocks.empty()) {
-      take_batch(victim);
-      telemetry::count(telemetry::Ctr::kRallocArenaSteals);
-    }
-  }
-  if (batch.empty()) {
-    std::lock_guard lk(central(shard, cls).m);
-    if (central(shard, cls).free_blocks.empty()) refill_class(shard, cls);
-    take_batch(central(shard, cls));
+    std::lock_guard lk(classes_[cls].m);
+    if (classes_[cls].free_blocks.empty()) refill_class(cls);
+    auto& central = classes_[cls].free_blocks;
+    const std::size_t take = std::min(kCacheBatch, central.size());
+    batch.assign(central.end() - take, central.end());
+    central.resize(central.size() - take);
   }
   void* p = batch.back();
   batch.pop_back();
@@ -327,12 +283,9 @@ void Ralloc::deallocate(void* p) {
     }
   }
   if (!overflow.empty()) {
-    // Overflow drains to the freeing thread's shard: blocks gravitate
-    // toward the threads that actually recycle them.
-    SizeClass& sc = central(my_arena_shard(), cls);
-    std::lock_guard lk(sc.m);
-    sc.free_blocks.insert(sc.free_blocks.end(), overflow.begin(),
-                          overflow.end());
+    std::lock_guard lk(classes_[cls].m);
+    auto& central = classes_[cls].free_blocks;
+    central.insert(central.end(), overflow.begin(), overflow.end());
   }
 }
 
@@ -403,11 +356,9 @@ void Ralloc::recover_blocks(
         if (!keep(blk, bsz)) dead.push_back(blk);
       }
       if (!dead.empty()) {
-        // Round-robin by extent ordinal: recovered blocks spread evenly
-        // across the arenas instead of piling into one shard.
-        SizeClass& sc = central(static_cast<int>(ord % arena_shards_), cls);
-        std::lock_guard lk(sc.m);
-        sc.free_blocks.insert(sc.free_blocks.end(), dead.begin(), dead.end());
+        std::lock_guard lk(classes_[cls].m);
+        auto& central = classes_[cls].free_blocks;
+        central.insert(central.end(), dead.begin(), dead.end());
       }
     }
   }

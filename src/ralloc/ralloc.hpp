@@ -58,8 +58,7 @@ class Ralloc {
   static constexpr uint64_t kSbMagicSmall = 0x52414C4C4F435342ull;  // "RALLOCSB"
   static constexpr uint64_t kSbMagicHuge = 0x52414C4C4F434847ull;   // "RALLOCHG"
   static constexpr int kMaxThreads = 256;
-  /// Upper bound on size classes (actual count lives in the .cpp); also the
-  /// per-shard stride of the central free-list vector.
+  /// Upper bound on size classes (actual count lives in the .cpp).
   static constexpr int kMaxClasses = 32;
 
   /// Persistent superblock descriptor; first line of each superblock.
@@ -77,14 +76,9 @@ class Ralloc {
                      ///< corrupt structure instead of salvaging
   };
 
-  /// `arena_shards` partitions the central free lists into per-shard arenas
-  /// (DESIGN.md §15): a thread refills and frees against its own shard's
-  /// lists with first-touch superblock affinity, stealing from other shards
-  /// only when its own runs dry (and reserving fresh superblocks only when
-  /// every shard is dry — allocation backpressure semantics are unchanged).
-  /// 0 = auto: MONTAGE_EPOCH_SHARDS if set, else the machine topology; 1
-  /// restores the single shared arena.
-  Ralloc(nvm::Region* region, Mode mode, int arena_shards = 0);
+  /// One arena: a central free list per size class, shared by every
+  /// thread behind small per-thread caches.
+  Ralloc(nvm::Region* region, Mode mode);
   ~Ralloc();
 
   /// Process-default instance (the first constructed), used by transient
@@ -104,11 +98,12 @@ class Ralloc {
 
   bool contains(const void* p) const { return region_->contains(p); }
 
-  /// Recovery perusal: visit every block of every superblock whose index is
-  /// congruent to `shard` mod `nshards`. `keep` returns true for blocks that
-  /// are live; all others go back to the free lists. All shards must be
-  /// visited exactly once before normal allocation resumes (Mode::kRecover
-  /// construction leaves every free list empty until then).
+  /// Recovery perusal: visit every block of every extent whose ordinal is
+  /// congruent to `shard` mod `nshards`, so `nshards` threads can split the
+  /// walk. `keep` returns true for blocks that are live; all others go back
+  /// to the free lists. All shards must be visited exactly once before
+  /// normal allocation resumes (Mode::kRecover construction leaves every
+  /// free list empty until then).
   void recover_blocks(int shard, int nshards,
                       const std::function<bool(void*, std::size_t)>& keep);
 
@@ -127,9 +122,6 @@ class Ralloc {
   const RecoverySummary& recovery_summary() const { return summary_; }
 
   nvm::Region* region() const { return region_; }
-
-  /// Number of per-shard arenas the central free lists are partitioned into.
-  int arena_shards() const { return arena_shards_; }
 
  private:
   struct SizeClass {
@@ -171,17 +163,9 @@ class Ralloc {
     bool quarantined;
   };
 
-  /// Central free list for size class `cls` in arena shard `shard`.
-  SizeClass& central(int shard, int cls) {
-    return classes_[static_cast<std::size_t>(shard) * kMaxClasses + cls];
-  }
-  /// Arena shard the calling thread refills from / frees to (first touch).
-  int my_arena_shard();
-
-  /// Carve a fresh superblock for class `cls` and push its blocks into
-  /// shard `shard`'s central list (first-touch affinity). Caller holds
-  /// central(shard, cls).m.
-  void refill_class(int shard, int cls);
+  /// Carve a fresh superblock for class `cls` and push its blocks into the
+  /// central list. Caller holds classes_[cls].m.
+  void refill_class(int cls);
   std::size_t reserve_superblocks(uint32_t n, uint64_t magic,
                                   uint32_t block_size);
   void* allocate_huge(std::size_t sz);
@@ -201,9 +185,7 @@ class Ralloc {
   // Persistent count of fully initialized superblocks (a region root).
   std::atomic<uint64_t>* sb_count_;
   std::mutex sb_mutex_;  // serializes (rare) superblock creation
-  int arena_shards_ = 1;
-  // Per-shard central free lists, kMaxClasses per shard (see central()).
-  std::vector<SizeClass> classes_;
+  SizeClass classes_[kMaxClasses];  // central free list per size class
   std::mutex huge_mutex_;
   std::map<uint32_t, std::vector<void*>> huge_free_;  // extent len -> heads
   std::unique_ptr<ThreadCache[]> caches_;

@@ -1,17 +1,10 @@
 #include "util/pin.hpp"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
-#include <stdexcept>
-#include <string>
 
-#include "util/env.hpp"
 #include "util/log.hpp"
-#include "util/telemetry.hpp"
 
 #if defined(__linux__)
-#include <dirent.h>
 #include <pthread.h>
 #include <sched.h>
 #include <unistd.h>
@@ -28,116 +21,6 @@ int cpu_count() {
 #endif
 }
 
-namespace {
-
-// Count node<N> entries under /sys/devices/system/node. 0 when the
-// directory is unreadable (non-linux, sysfs-less container).
-int count_numa_nodes() {
-#if defined(__linux__)
-  DIR* d = opendir("/sys/devices/system/node");
-  if (!d) return 0;
-  int nodes = 0;
-  while (struct dirent* e = readdir(d)) {
-    const char* name = e->d_name;
-    if (std::strncmp(name, "node", 4) != 0) continue;
-    const char* digits = name + 4;
-    if (*digits == '\0') continue;
-    bool all_digits = true;
-    for (const char* p = digits; *p; ++p) {
-      if (*p < '0' || *p > '9') { all_digits = false; break; }
-    }
-    if (all_digits) ++nodes;
-  }
-  closedir(d);
-  return nodes;
-#else
-  return 0;
-#endif
-}
-
-Topology resolve_topology() {
-  Topology t{};
-  t.cpus = cpu_count();
-  t.numa_nodes = count_numa_nodes();
-  const int env = epoch_shards_override();
-  if (env > 0) {
-    t.shards = env;
-    t.source = TopologySource::kEnv;
-  } else if (t.numa_nodes >= 2) {
-    t.shards = t.numa_nodes;
-    t.source = TopologySource::kNuma;
-  } else {
-    // Thread-group fallback: one shard per 8 CPUs keeps shard-local state
-    // meaningful on small boxes without fragmenting tiny machines.
-    int groups = t.cpus / 8;
-    if (groups < 1) groups = 1;
-    if (groups > 8) groups = 8;
-    t.shards = groups;
-    t.source = TopologySource::kGroups;
-  }
-  return t;
-}
-
-}  // namespace
-
-const char* topology_source_name(TopologySource s) {
-  switch (s) {
-    case TopologySource::kEnv: return "env";
-    case TopologySource::kNuma: return "numa";
-    case TopologySource::kGroups: return "groups";
-  }
-  return "?";
-}
-
-int epoch_shards_override() {
-  if (std::getenv("MONTAGE_EPOCH_SHARDS") == nullptr) return 0;
-  const uint64_t v = env_u64_checked("MONTAGE_EPOCH_SHARDS", 0);
-  if (v < 1 || v > static_cast<uint64_t>(kMaxShards)) {
-    throw std::invalid_argument(
-        "MONTAGE_EPOCH_SHARDS must be in [1, " + std::to_string(kMaxShards) +
-        "], got " + std::to_string(v));
-  }
-  return static_cast<int>(v);
-}
-
-const Topology& topology() {
-  // Resolved once; the lambda also emits the one-time structured topology
-  // line and registers the gauge promexpo renders as
-  // montage_topology_shards. The gauge handle is deliberately leaked: the
-  // closure captures only an immortal function-local static.
-  static const Topology t = [] {
-    Topology r = resolve_topology();
-    log::info("topology")
-        .field("cpus", static_cast<uint64_t>(r.cpus))
-        .field("numa_nodes", static_cast<uint64_t>(r.numa_nodes))
-        .field("shards", static_cast<uint64_t>(r.shards))
-        .field("source", topology_source_name(r.source));
-    static const uint64_t shards_value = static_cast<uint64_t>(r.shards);
-    telemetry::register_gauge("topology.shards", "shards",
-                              [] { return shards_value; });
-    return r;
-  }();
-  return t;
-}
-
-int topology_shards() { return topology().shards; }
-
-int shard_of(int tid, int shards) {
-  if (shards <= 1) return 0;
-  if (tid < 0) tid = -tid;
-  const int cpus = topology().cpus;
-  if (cpus >= shards) {
-    // Contiguous CPU blocks per shard, matching the pinning map tid -> cpu
-    // tid % cpus (NUMA nodes expose contiguous CPU ranges in the layouts we
-    // pin for, so this keeps a shard's threads on one node).
-    return static_cast<int>(
-        (static_cast<long long>(tid % cpus) * shards) / cpus);
-  }
-  return tid % shards;
-}
-
-int shard_of(int tid) { return shard_of(tid, topology().shards); }
-
 bool pin_thread(int tid) {
 #if defined(__linux__)
   const int ncpu = cpu_count();
@@ -148,8 +31,7 @@ bool pin_thread(int tid) {
     if (!warned.exchange(true, std::memory_order_relaxed)) {
       log::warn("pin_fallback")
           .field("reason", "single_cpu")
-          .field("cpus", static_cast<uint64_t>(ncpu))
-          .field("shards", static_cast<uint64_t>(topology().shards));
+          .field("cpus", static_cast<uint64_t>(ncpu));
     }
     return false;
   }
@@ -163,8 +45,7 @@ bool pin_thread(int tid) {
     if (!warned.exchange(true, std::memory_order_relaxed)) {
       log::warn("pin_fallback")
           .field("reason", "setaffinity_failed")
-          .field("cpus", static_cast<uint64_t>(ncpu))
-          .field("shards", static_cast<uint64_t>(topology().shards));
+          .field("cpus", static_cast<uint64_t>(ncpu));
     }
   }
   return ok;

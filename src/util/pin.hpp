@@ -1,24 +1,8 @@
-// Thread pinning and machine topology. Pinning follows the paper's order:
-// one thread per core on socket 0, then that socket's hyperthreads, then
-// socket 1; machines without that topology fall back to round-robin over the
-// available CPUs (logged once, structured).
-//
-// The topology half maps logical bench/thread ids onto *shards* — the unit
-// the epoch system and Ralloc partition their hot state by (DESIGN.md §15).
-// Shards come from, in priority order:
-//
-//   1. `MONTAGE_EPOCH_SHARDS` (digits-only, 1..kMaxShards; 0/garbage rejected
-//      like every other knob via env_u64_checked),
-//   2. the NUMA node count under /sys/devices/system/node when >= 2,
-//   3. a thread-group fallback (one shard per 8 CPUs, capped at 8) so the
-//      sharded paths stay exercised on small non-NUMA boxes.
-//
-// Resolution happens once per process, emits one structured log line
-// ("topology") and registers the `topology.shards` gauge (rendered by
-// promexpo as `montage_topology_shards`).
+// Thread pinning. Pinning follows the paper's order: one thread per core on
+// socket 0, then that socket's hyperthreads, then socket 1; machines without
+// that topology fall back to round-robin over the available CPUs (logged
+// once, structured).
 #pragma once
-
-#include <cstdint>
 
 namespace montage::util {
 
@@ -28,49 +12,5 @@ bool pin_thread(int tid);
 
 /// Number of CPUs usable by this process.
 int cpu_count();
-
-/// Upper bound on shard count accepted from `MONTAGE_EPOCH_SHARDS`.
-inline constexpr int kMaxShards = 64;
-
-/// Where the resolved shard count came from.
-enum class TopologySource {
-  kEnv,     ///< MONTAGE_EPOCH_SHARDS override
-  kNuma,    ///< /sys/devices/system/node enumeration (>= 2 nodes)
-  kGroups,  ///< thread-group fallback on non-NUMA machines
-};
-
-/// The machine topology as resolved once per process.
-struct Topology {
-  int shards;             ///< resolved shard count, >= 1
-  int cpus;               ///< cpu_count() at resolution time
-  int numa_nodes;         ///< nodes detected under sysfs (0 when unreadable)
-  TopologySource source;  ///< which rule produced `shards`
-};
-
-/// Resolved process topology. First call reads the environment/sysfs, logs
-/// one structured "topology" line and registers the shard-count gauge;
-/// subsequent calls return the cached result. Throws std::invalid_argument
-/// on a malformed or out-of-range MONTAGE_EPOCH_SHARDS.
-const Topology& topology();
-
-/// Shorthand for topology().shards.
-int topology_shards();
-
-/// Validated MONTAGE_EPOCH_SHARDS override: 0 when unset, otherwise the
-/// value in [1, kMaxShards]. Throws std::invalid_argument otherwise.
-int epoch_shards_override();
-
-/// Map logical thread id `tid` onto one of `shards` shards, following the
-/// pinning layout (tid -> cpu tid % cpus, contiguous CPU blocks per shard).
-/// When `shards` exceeds the CPU count (oversubscription or a forced
-/// override on a small box) the map degrades to tid % shards so every shard
-/// still receives threads. Always in [0, shards).
-int shard_of(int tid, int shards);
-
-/// shard_of against the process topology's shard count.
-int shard_of(int tid);
-
-/// Human-readable name for a TopologySource ("env", "numa", "groups").
-const char* topology_source_name(TopologySource s);
 
 }  // namespace montage::util

@@ -35,9 +35,9 @@ constexpr Meta kCounterMeta[kNumCounters] = {
     {"epoch.sync_fast_path", "calls"},
     {"epoch.sync_timeouts", "calls"},
     {"epoch.adoptions", "ops"},
-    {"epoch.watchdog_restarts", "restarts"},
     {"epoch.watchdog_alarms", "alarms"},
     {"epoch.cooperative_advances", "advances"},
+    {"epoch.sync_advances", "advances"},
     {"epoch.sync_helped_payloads", "blocks"},
     {"epoch.eio_retries", "retries"},
     {"epoch.persist_errors", "errors"},
@@ -69,15 +69,9 @@ constexpr Meta kCounterMeta[kNumCounters] = {
     {"server.sync_path_caller", "syncs"},
     {"server.slow_ops", "requests"},
     {"server.admin_requests", "requests"},
-    {"epoch.shard_drains", "drains"},
-    {"epoch.drain_helper_claims", "claims"},
-    {"epoch.drain_takeovers", "takeovers"},
-    {"epoch.registration_lockfree_hits", "registrations"},
     {"epoch.advance_lock_waits", "waits"},
-    {"ralloc.arena_refills", "refills"},
-    {"ralloc.arena_steals", "steals"},
 };
-static_assert(static_cast<uint32_t>(Ctr::kRallocArenaSteals) == kNumCounters - 1,
+static_assert(static_cast<uint32_t>(Ctr::kEpochAdvanceLockWaits) == kNumCounters - 1,
               "counter catalog out of sync with Ctr enum");
 
 constexpr Meta kHistMeta[kNumHists] = {

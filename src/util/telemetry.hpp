@@ -113,9 +113,9 @@ enum class Ctr : uint32_t {
   kSyncFast,
   kSyncTimeouts,
   kAdoptions,
-  kWatchdogRestarts,
   kWatchdogAlarms,
   kCooperativeAdvances,
+  kSyncAdvances,
   kSyncHelpedPayloads,
   kEioRetries,
   kPersistErrors,
@@ -147,13 +147,7 @@ enum class Ctr : uint32_t {
   kSrvSyncPathCaller,
   kSrvSlowOps,
   kSrvAdminRequests,
-  kEpochShardDrains,
-  kEpochDrainHelperClaims,
-  kEpochDrainTakeovers,
-  kEpochRegLockfreeHits,
   kEpochAdvanceLockWaits,
-  kRallocArenaRefills,
-  kRallocArenaSteals,
   kCount,
 };
 

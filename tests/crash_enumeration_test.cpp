@@ -23,7 +23,6 @@
 #include "ds/montage_queue.hpp"
 #include "ds/montage_stack.hpp"
 #include "tests/test_env.hpp"
-#include "util/pin.hpp"
 
 namespace montage {
 namespace {
@@ -388,98 +387,6 @@ TEST(CrashEnumeration, SweepInsideCoalescedBoundaryDrain) {
     for (PBlk* b : survivors2) uids2.insert(b->blk_uid());
     EXPECT_EQ(uids2, uids1)
         << "recovery not idempotent at in-drain crash point " << n;
-  }
-}
-
-TEST(CrashEnumeration, SweepInsideParallelShardedDrain) {
-  // The sharded boundary drain (DESIGN.md §15) runs the same seal/flush
-  // pipeline through the drain-ticket protocol: the advancer publishes the
-  // boundary epoch, claims each shard with a CAS, drains the claimed
-  // shard's rings, and takes over any shard whose claimant stalled. Force
-  // four shards (this single-threaded driver claims and drains all four
-  // serially, so every ticket transition and the takeover bookkeeping are
-  // on the crash path) and crash at EVERY persistence event inside one
-  // sharded drain. Recovery must be prefix-consistent and idempotent at
-  // each point — the §13 invariants survive the §15 protocol.
-  if (int ov = util::epoch_shards_override(); ov != 0 && ov != 4) {
-    GTEST_SKIP() << "MONTAGE_EPOCH_SHARDS=" << ov
-                 << " pins the shard count; this test needs 4";
-  }
-  auto sharded = [] {
-    EpochSys::Options o;
-    o.start_advancer = false;
-    o.epoch_shards = 4;
-    return o;
-  };
-  ASSERT_TRUE(sharded().coalesce) << "coalescing must default ON";
-
-  // Same fattening as the coalesced sweep: dedup'd same-epoch re-writes
-  // give the drained boundary a multi-line window to sweep inside.
-  std::map<uint64_t, uint64_t> overlay;
-  for (uint64_t k = 0; k < kKeySpace; ++k) overlay[k] = 2000 + k;
-  auto fatten = [](Structures& s) {
-    for (uint64_t k = 0; k < kKeySpace; ++k) s.map.put(k, 1000 + k);
-    for (uint64_t k = 0; k < kKeySpace; ++k) s.map.put(k, 2000 + k);
-  };
-
-  // Pass 1: measure the event window of the sharded drain.
-  uint64_t before, after, fat_epoch;
-  {
-    PersistentEnv env(kRegionSize, sharded());
-    ASSERT_EQ(env.esys()->epoch_shards(), 4);
-    Structures s(env.esys());
-    run_workload(s, env.esys());
-    fat_epoch = env.esys()->current_epoch();
-    fatten(s);
-    env.esys()->advance_epoch();
-    before = env.region()->persistence_events();
-    telemetry::reset_metrics();
-    env.esys()->advance_epoch();
-    after = env.region()->persistence_events();
-    if (telemetry::kEnabled) {
-      uint64_t shard_drains = 0;
-      for (const auto& c : telemetry::counters_snapshot()) {
-        if (std::string(c.name) == "epoch.shard_drains") shard_drains = c.value;
-      }
-      EXPECT_GE(shard_drains, 4u)
-          << "a 4-shard boundary must drain through all four tickets";
-    }
-  }
-  ASSERT_GT(after, before + 4) << "sharded drain issued too few events";
-
-  // Pass 2: one replay per in-drain event index; recovery also runs with
-  // four shards, so the post-recovery epoch system exercises the sharded
-  // path end to end.
-  for (uint64_t n = before + 1; n <= after; ++n) {
-    PersistentEnv env(kRegionSize, sharded());
-    env.region()->crash_at_event(n);
-    Structures s(env.esys());
-    auto step_epochs = run_workload(s, env.esys());
-    try {
-      fatten(s);
-      env.esys()->advance_epoch();
-      env.esys()->advance_epoch();
-    } catch (const nvm::CrashPointException&) {
-      // Crashed inside the sharded drain, as armed.
-    }
-    env.region()->clear_crash_schedule();
-    std::vector<PBlk*> survivors;
-    ASSERT_NO_THROW(survivors = env.crash_and_recover(1, sharded()))
-        << "recovery aborted for sharded-drain crash point " << n;
-    check_prefix_consistent(env, survivors, step_epochs, n, fat_epoch,
-                            &overlay);
-
-    // Idempotence: crashing again right after recovery (no new operations)
-    // must land on the identical survivor set.
-    std::multiset<uint64_t> uids1;
-    for (PBlk* b : survivors) uids1.insert(b->blk_uid());
-    std::vector<PBlk*> survivors2;
-    ASSERT_NO_THROW(survivors2 = env.crash_and_recover(1, sharded()))
-        << "re-recovery aborted for sharded-drain crash point " << n;
-    std::multiset<uint64_t> uids2;
-    for (PBlk* b : survivors2) uids2.insert(b->blk_uid());
-    EXPECT_EQ(uids2, uids1)
-        << "recovery not idempotent at sharded-drain crash point " << n;
   }
 }
 

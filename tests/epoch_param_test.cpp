@@ -242,17 +242,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CrashFuzzTest, ::testing::Range(0, 12));
 /// Regression (DESIGN.md §12): every cooperative advance refreshes the
 /// staleness timestamp the watchdog reads, so a HEALTHY cooperative-only
 /// configuration — advancer dead, workers pacing the clock themselves —
-/// must never cross the alarm threshold, let alone restart anything. Before
-/// the fix, only the background advancer's ticks refreshed the timestamp
-/// and a cooperative-only run alarmed (or restarted) spuriously on every
-/// watchdog_ns window.
+/// must never cross the alarm threshold. Before the fix, only the
+/// background advancer's ticks refreshed the timestamp and a
+/// cooperative-only run alarmed spuriously on every watchdog_ns window.
 TEST(CooperativeWatchdog, HealthyCooperativePacingNeverAlarms) {
   EpochSys::Options o;
   o.epoch_length_ns = 1'000'000;  // 1 ms pace
   o.watchdog_ns = 8'000'000;      // alarm after 8 ms without any tick
   PersistentEnv env(64 << 20, o);
   EpochSys* es = env.esys();
-  ASSERT_FALSE(es->options().watchdog_restart);
   telemetry::reset_metrics();
 
   es->inject_advancer_kill();
@@ -278,17 +276,46 @@ TEST(CooperativeWatchdog, HealthyCooperativePacingNeverAlarms) {
   EXPECT_GE(es->current_epoch(), c0 + 3) << "cooperative pacing stalled";
   EXPECT_FALSE(es->advancer_alive()) << "something restarted the advancer";
   if (telemetry::kEnabled) {
-    uint64_t restarts = 0, alarms = 0, coop = 0;
+    uint64_t alarms = 0, coop = 0;
     for (const auto& c : telemetry::counters_snapshot()) {
-      if (std::string(c.name) == "epoch.watchdog_restarts") restarts = c.value;
       if (std::string(c.name) == "epoch.watchdog_alarms") alarms = c.value;
       if (std::string(c.name) == "epoch.cooperative_advances") coop = c.value;
     }
-    EXPECT_EQ(restarts, 0u) << "healthy cooperative config restarted";
     EXPECT_EQ(alarms, 0u) << "healthy cooperative config alarmed";
     EXPECT_GE(coop, 3u);
   }
   EXPECT_TRUE(es->sync_for(5'000'000'000ull));
+}
+
+/// epoch.cooperative_advances counts only ticks a worker drove because the
+/// pacer was stale; the advances sync() drives for its own durability are
+/// epoch.sync_advances. With a live advancer on a long epoch, every sync
+/// must tick the clock itself, and none of those ticks is cooperative.
+TEST(CooperativeWatchdog, SyncAdvancesAreNotCooperative) {
+  if (!telemetry::kEnabled) GTEST_SKIP() << "telemetry compiled out";
+  EpochSys::Options o;
+  o.epoch_length_ns = 1'000'000'000;  // the advancer stays live but idle
+  PersistentEnv env(64 << 20, o);
+  EpochSys* es = env.esys();
+  ASSERT_TRUE(es->advancer_alive());
+  telemetry::reset_metrics();
+
+  for (uint64_t i = 0; i < 50; ++i) {
+    es->begin_op();
+    auto* p = es->pnew<KvPayload>();
+    p->set_key(i);
+    es->end_op();
+    es->sync();
+  }
+
+  EXPECT_TRUE(es->advancer_alive());
+  uint64_t coop = 0, sync_adv = 0;
+  for (const auto& c : telemetry::counters_snapshot()) {
+    if (std::string(c.name) == "epoch.cooperative_advances") coop = c.value;
+    if (std::string(c.name) == "epoch.sync_advances") sync_adv = c.value;
+  }
+  EXPECT_EQ(coop, 0u) << "sync-driven advances counted as cooperative";
+  EXPECT_GT(sync_adv, 0u);
 }
 
 }  // namespace

@@ -137,89 +137,4 @@ TEST(Mindicator, OrphanEvictionUnderConcurrentChurn) {
   EXPECT_TRUE(m.parked(0));
 }
 
-// ---- ShardedMindicator ---------------------------------------------------------
-
-TEST(ShardedMindicator, EmptyIsIdleAndShardsClamp) {
-  montage::ShardedMindicator m(8, 4);
-  EXPECT_EQ(m.min(), montage::ShardedMindicator::kIdle);
-  EXPECT_EQ(m.shards(), 4);
-  montage::ShardedMindicator clamped(8, 0);  // degenerate request -> 1 shard
-  EXPECT_EQ(clamped.shards(), 1);
-}
-
-TEST(ShardedMindicator, MinCombinesAcrossShardTrees) {
-  // Leaves land in different shard trees; min() must combine the roots,
-  // not report any single shard's minimum.
-  montage::ShardedMindicator m(16, 4);
-  for (int i = 0; i < 16; ++i) m.set(i, 100 + i);
-  EXPECT_EQ(m.min(), 100u);
-  m.set(0, montage::ShardedMindicator::kIdle);
-  EXPECT_EQ(m.min(), 101u);
-  // Drop a later leaf below everything: whichever shard owns it, the
-  // combined min must follow.
-  m.set(13, 7);
-  EXPECT_EQ(m.min(), 7u);
-  EXPECT_EQ(m.get(13), 7u);
-}
-
-TEST(ShardedMindicator, SingleShardMatchesFlatTree) {
-  // shards=1 is the kill switch: it must agree leaf-for-leaf with a flat
-  // Mindicator over the same operation sequence.
-  montage::ShardedMindicator s(8, 1);
-  Mindicator flat(8);
-  auto both_set = [&](int i, uint64_t v) { s.set(i, v); flat.set(i, v); };
-  both_set(0, 10);
-  both_set(3, 5);
-  both_set(7, 20);
-  EXPECT_EQ(s.min(), flat.min());
-  both_set(3, Mindicator::kIdle);
-  EXPECT_EQ(s.min(), flat.min());
-  s.park(7);
-  flat.park(7);
-  EXPECT_EQ(s.min(), flat.min());
-  EXPECT_TRUE(s.parked(7));
-  s.unpark(7);
-  flat.unpark(7);
-  both_set(7, 2);
-  EXPECT_EQ(s.min(), flat.min());
-}
-
-TEST(ShardedMindicator, ParkDelegatesToOwningShard) {
-  montage::ShardedMindicator m(8, 2);
-  m.set(1, 1);  // pins the global min
-  m.set(6, 50);
-  EXPECT_EQ(m.min(), 1u);
-  m.park(1);
-  EXPECT_TRUE(m.parked(1));
-  EXPECT_EQ(m.min(), 50u);  // parked leaf no longer pins its shard's root
-  m.unpark(1);
-  EXPECT_FALSE(m.parked(1));
-  m.set(1, 3);
-  EXPECT_EQ(m.min(), 3u);
-}
-
-TEST(ShardedMindicator, QuiescentExactnessUnderConcurrentChurn) {
-  // Same contract as the flat tree's churn test, but with leaves spread
-  // across 4 shard trees so the min-combine races real concurrent updates.
-  constexpr int kThreads = 4;
-  constexpr int kRounds = 2000;
-  montage::ShardedMindicator m(kThreads, 4);
-  std::vector<uint64_t> final_vals(kThreads);
-  std::vector<std::thread> ts;
-  for (int t = 0; t < kThreads; ++t) {
-    ts.emplace_back([&, t] {
-      montage::util::Xorshift128Plus rng(t + 1);
-      uint64_t v = 0;
-      for (int i = 0; i < kRounds; ++i) {
-        v = rng.next_bounded(1000);
-        m.set(t, v);
-      }
-      final_vals[t] = v;
-    });
-  }
-  for (auto& th : ts) th.join();
-  EXPECT_EQ(m.min(),
-            *std::min_element(final_vals.begin(), final_vals.end()));
-}
-
 }  // namespace

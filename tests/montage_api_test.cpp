@@ -39,8 +39,7 @@ class Register : public Recoverable {
   void write(uint64_t a, uint64_t b) {
     BEGIN_OP_AUTOEND();
     if (cell_ == nullptr) {
-      cell_ = PNEW(Pair, a, b);
-      cell_->set_blk_tag(kTag);
+      cell_ = PNEW(Pair, BlkTag{kTag}, a, b);
     } else {
       cell_ = cell_->set_first(a);
       cell_ = cell_->set_second(b);
@@ -190,8 +189,7 @@ TEST(Api, BlkTagRoundTrips) {
   PersistentEnv env(64 << 20, no_advancer());
   EpochSys* es = env.esys();
   es->begin_op();
-  Pair* p = es->pnew<Pair>(1, 1);
-  p->set_blk_tag(0xABCD);
+  Pair* p = es->pnew<Pair>(BlkTag{0xABCD}, 1, 1);
   EXPECT_EQ(p->blk_tag(), 0xABCDu);
   es->end_op();
   es->advance_epoch();

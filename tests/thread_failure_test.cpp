@@ -1,8 +1,8 @@
 // Liveness under execution faults (DESIGN.md §8, §12): a thread parked
 // mid-op is adopted and the epoch clock keeps moving; a killed advancer
 // costs nothing — workers tick the clock cooperatively and sync() drives
-// its own bounded advances (the watchdog restarts the thread only when
-// Options::watchdog_restart opts in); sync(deadline) returns instead of
+// its own bounded advances (nothing ever restarts the thread);
+// sync(deadline) returns instead of
 // hanging on a wedged peer; transient EIO is retried and, when it will not
 // clear, surfaces as a typed PersistError; allocation failure triggers an
 // emergency advance-and-reclaim pass before giving up.
@@ -16,7 +16,6 @@
 
 #include "ds/montage_stack.hpp"
 #include "tests/test_env.hpp"
-#include "util/pin.hpp"
 #include "util/timing.hpp"
 
 namespace montage {
@@ -55,8 +54,7 @@ TEST(ThreadFailure, OrphanAdoptionKeepsClockMoving) {
   std::atomic<bool> orphan_saw_adoption{false};
   std::thread orphan([&] {
     const uint64_t e = es->begin_op();
-    Payload* p = es->pnew<Payload>(1000, 1);  // must NOT survive adoption
-    p->set_blk_tag(kTag);
+    es->pnew<Payload>(BlkTag{kTag}, 1000, 1);  // must NOT survive adoption
     orphan_epoch.store(e);
     wedged.store(true);
     while (!release.load()) sleep_ms(1);  // "failed" mid-operation
@@ -74,8 +72,7 @@ TEST(ThreadFailure, OrphanAdoptionKeepsClockMoving) {
   // Durability is reachable again while the orphan is still wedged.
   for (uint64_t v = 0; v < 8; ++v) {
     es->begin_op();
-    Payload* p = es->pnew<Payload>(v, v + 1);
-    p->set_blk_tag(kTag);
+    es->pnew<Payload>(BlkTag{kTag}, v, v + 1);
     es->end_op();
   }
   EXPECT_TRUE(es->sync_for(5'000'000'000ull));
@@ -98,43 +95,17 @@ TEST(ThreadFailure, OrphanAdoptionKeepsClockMoving) {
   }
 }
 
-TEST(ThreadFailure, WatchdogRestartsKilledAdvancer) {
-  EpochSys::Options o;
-  o.epoch_length_ns = 1'000'000;  // 1 ms epochs
-  o.watchdog_ns = 5'000'000;      // stale after 5 ms without a tick
-  o.watchdog_restart = true;      // opt into the thread-replacement model
-  PersistentEnv env(64 << 20, o);
-  EpochSys* es = env.esys();
-  ASSERT_TRUE(es->advancer_alive());
-
-  es->inject_advancer_kill();
-  ASSERT_TRUE(eventually([&] { return !es->advancer_alive(); }));
-  const uint64_t c0 = es->current_epoch();
-
-  // Workers notice the stale clock from inside begin_op: they drive the
-  // advance cooperatively and restart the advancer.
-  EXPECT_TRUE(eventually([&] {
-    es->begin_op();
-    es->end_op();
-    return es->current_epoch() >= c0 + 3 && es->advancer_alive();
-  }));
-  EXPECT_TRUE(es->advancer_alive());
-  EXPECT_GE(es->current_epoch(), c0 + 3);
-  EXPECT_TRUE(es->sync_for(5'000'000'000ull));
-}
-
 TEST(ThreadFailure, CooperativeTickAfterAdvancerKill) {
-  // The advancer dies and is NEVER restarted (watchdog_restart defaults to
-  // false): workers observing the lagging clock from begin_op tick it
-  // themselves, so the killed pacer costs nothing but the pacing hint.
+  // The advancer dies and is NEVER restarted: workers observing the
+  // lagging clock from begin_op tick it themselves, so the killed pacer
+  // costs nothing but the pacing hint.
   EpochSys::Options o;
   o.epoch_length_ns = 1'000'000;  // 1 ms epochs
   o.watchdog_ns = 100'000'000;    // alarm far away: pacing must not need it
   PersistentEnv env(64 << 20, o);
   EpochSys* es = env.esys();
   ASSERT_TRUE(es->advancer_alive());
-  ASSERT_FALSE(es->options().watchdog_restart);
-  telemetry::reset_metrics();  // isolate this test's restart/advance counts
+  telemetry::reset_metrics();  // isolate this test's advance counts
 
   es->inject_advancer_kill();
   ASSERT_TRUE(eventually([&] { return !es->advancer_alive(); }));
@@ -148,98 +119,23 @@ TEST(ThreadFailure, CooperativeTickAfterAdvancerKill) {
   // Cooperative advance, not a resurrected thread, moved the clock.
   EXPECT_FALSE(es->advancer_alive());
   if (telemetry::kEnabled) {
-    uint64_t coop = 0, restarts = 0;
+    uint64_t coop = 0;
     for (const auto& c : telemetry::counters_snapshot()) {
       if (std::string(c.name) == "epoch.cooperative_advances") coop = c.value;
-      if (std::string(c.name) == "epoch.watchdog_restarts") restarts = c.value;
     }
     EXPECT_GE(coop, 3u);
-    EXPECT_EQ(restarts, 0u);
   }
 }
 
-TEST(ThreadFailure, ShardedDrainTakeoverCompletesBoundary) {
-  // Sharded boundary drain liveness (DESIGN.md §15): a claimant that wins a
-  // shard's drain ticket and dies before draining must not wedge the
-  // boundary — the advancing thread's takeover pass re-drains the shard
-  // after a bounded courtesy wait, and durability still lands. The abandon
-  // injection plays the dying claimant.
-  if (int ov = util::epoch_shards_override(); ov != 0 && ov != 4) {
-    GTEST_SKIP() << "MONTAGE_EPOCH_SHARDS=" << ov
-                 << " pins the shard count; this test needs 4";
-  }
+TEST(ThreadFailure, ConcurrentRegistrationSurvivesDrain) {
+  // Write-back registration must interleave safely with concurrent
+  // boundary drains: each worker registers fresh payloads and in-place
+  // writes under its own td.m while the advancer seals and drains the same
+  // epochs. Race them and prove a trailing sync loses nothing.
   EpochSys::Options o;
-  o.start_advancer = false;
-  o.epoch_shards = 4;
-  PersistentEnv env(64 << 20, o);
-  EpochSys* es = env.esys();
-  ASSERT_EQ(es->epoch_shards(), 4);
-
-  // Spread dirty payloads across shards: four concurrently-live threads
-  // hold four distinct tids, which land in distinct shards, so the
-  // boundary has per-shard work to claim.
-  std::atomic<int> ready{0};
-  std::atomic<bool> release{false};
-  std::vector<std::thread> workers;
-  for (int t = 0; t < 4; ++t) {
-    workers.emplace_back([&, t] {
-      es->begin_op();
-      Payload* p = es->pnew<Payload>(static_cast<uint64_t>(100 + t), 1);
-      p->set_blk_tag(kTag);
-      es->end_op();
-      ready.fetch_add(1);
-      while (!release.load()) sleep_ms(1);
-    });
-  }
-  ASSERT_TRUE(eventually([&] { return ready.load() == 4; }));
-  release.store(true);
-  for (auto& w : workers) w.join();
-
-  telemetry::reset_metrics();  // isolate this boundary's drain counters
-  es->inject_drain_claim_abandon(1);
-  es->advance_epoch();
-  es->advance_epoch();
-  if (telemetry::kEnabled) {
-    uint64_t takeovers = 0, shard_drains = 0;
-    for (const auto& c : telemetry::counters_snapshot()) {
-      if (std::string(c.name) == "epoch.drain_takeovers") takeovers = c.value;
-      if (std::string(c.name) == "epoch.shard_drains") shard_drains = c.value;
-    }
-    EXPECT_GE(takeovers, 1u) << "abandoned claim was never taken over";
-    EXPECT_GE(shard_drains, 4u) << "not every shard ticket was drained";
-  }
-  EXPECT_TRUE(es->sync_for(5'000'000'000ull));
-
-  // The boundary the takeover completed really persisted: every worker's
-  // payload survives the crash.
-  auto survivors = env.crash_and_recover(1, o);
-  std::set<uint64_t> vals;
-  for (PBlk* b : survivors) {
-    auto* p = static_cast<Payload*>(b);
-    if (p->blk_tag() == kTag) vals.insert(p->get_unsafe_val());
-  }
-  for (uint64_t t = 0; t < 4; ++t) {
-    EXPECT_EQ(vals.count(100 + t), 1u) << "payload " << t << " lost";
-  }
-}
-
-TEST(ThreadFailure, ShardedLockfreeRegistrationSurvivesDrain) {
-  // The SPSC registration fast path (DESIGN.md §15) must interleave safely
-  // with concurrent boundary drains: each worker stages in-place write
-  // registrations without taking its own td.m while the advancer (plus
-  // cooperative helpers) seals and drains the same epochs. Race them and
-  // prove the fast path was actually taken and a trailing sync loses
-  // nothing.
-  if (int ov = util::epoch_shards_override(); ov != 0 && ov != 4) {
-    GTEST_SKIP() << "MONTAGE_EPOCH_SHARDS=" << ov
-                 << " pins the shard count; this test needs 4";
-  }
-  EpochSys::Options o;
-  o.epoch_shards = 4;
   o.epoch_length_ns = 500'000;  // fast boundaries: drains race registrations
   PersistentEnv env(64 << 20, o);
   EpochSys* es = env.esys();
-  telemetry::reset_metrics();
 
   constexpr int kWriters = 4;
   constexpr uint64_t kRounds = 200;
@@ -249,28 +145,17 @@ TEST(ThreadFailure, ShardedLockfreeRegistrationSurvivesDrain) {
       for (uint64_t i = 0; i < kRounds; ++i) {
         const uint64_t v = static_cast<uint64_t>(t) * 10'000 + i;
         es->begin_op();
-        Payload* p = es->pnew<Payload>(v, 1);
-        p->set_blk_tag(kTag);
-        // In-place same-epoch write: registration takes the staged path.
-        p->set_val(v);
+        Payload* p = es->pnew<Payload>(BlkTag{kTag}, v, 1);
+        p->set_val(v);  // in-place same-epoch write: a second registration
         es->end_op();
       }
     });
   }
   for (auto& w : ws) w.join();
   EXPECT_TRUE(es->sync_for(5'000'000'000ull));
-  if (telemetry::kEnabled) {
-    uint64_t hits = 0;
-    for (const auto& c : telemetry::counters_snapshot()) {
-      if (std::string(c.name) == "epoch.registration_lockfree_hits") {
-        hits = c.value;
-      }
-    }
-    EXPECT_GE(hits, 1u) << "no registration took the lock-free fast path";
-  }
 
-  // Every synced payload survives: the staged registrations all reached
-  // the rings before their epochs' boundary drains.
+  // Every synced payload survives: every registration reached its ring
+  // before that epoch's boundary drain.
   auto survivors = env.crash_and_recover(1, o);
   std::set<uint64_t> vals;
   for (PBlk* b : survivors) {
@@ -283,6 +168,54 @@ TEST(ThreadFailure, ShardedLockfreeRegistrationSurvivesDrain) {
       EXPECT_EQ(vals.count(v), 1u) << "payload " << v << " lost";
     }
   }
+}
+
+TEST(ThreadFailure, TagWrittenBeforeConcurrentDrainSurvivesCrash) {
+  // pnew writes the whole header, tag included, before the block is
+  // registered for write-back. Here a sync() on thread B drains thread A's
+  // current-epoch ring — sealing and flushing A's fresh payload — while
+  // A's operation is still open. Had the tag been stored after pnew, the
+  // header in memory would now carry a checksum that no longer matches it,
+  // and any later write-back of that line (a cache eviction, or a process
+  // kill on a file-backed region) would make recovery quarantine the only
+  // version of the payload.
+  EpochSys::Options o;
+  o.start_advancer = false;  // B's sync is the only drain
+  PersistentEnv env(64 << 20, o);
+  EpochSys* es = env.esys();
+
+  std::atomic<bool> created{false};
+  Payload* p = nullptr;
+  std::thread a([&] {
+    const int tid = util::thread_id();
+    const uint64_t e = es->begin_op();
+    p = es->pnew<Payload>(BlkTag{kTag}, 42, 1);
+    EXPECT_EQ(es->mindicator().get(tid), e) << "payload was not buffered";
+    created.store(true);
+    // B's sync drains this ring on its second advance; the drain empties it.
+    EXPECT_TRUE(eventually(
+        [&] { return es->mindicator().get(tid) == Mindicator::kIdle; }));
+    es->end_op();
+  });
+  std::thread b([&] {
+    while (!created.load()) sleep_ms(1);
+    es->sync();
+  });
+  a.join();
+  b.join();
+  es->sync();
+  // The cache writes the payload's header line back on its own.
+  env.region()->persist(p, sizeof(PBlk));
+  env.region()->fence();
+
+  auto survivors = env.crash_and_recover(1, o);
+  EXPECT_EQ(env.esys()->last_recovery_report().quarantined_corrupt, 0u);
+  std::set<uint64_t> vals;
+  for (PBlk* blk : survivors) {
+    auto* q = static_cast<Payload*>(blk);
+    if (q->blk_tag() == kTag) vals.insert(q->get_unsafe_val());
+  }
+  EXPECT_EQ(vals.count(42), 1u) << "drained payload lost its tag or its header";
 }
 
 TEST(ThreadFailure, BoundedSyncWithDeadAdvancer) {
@@ -299,8 +232,7 @@ TEST(ThreadFailure, BoundedSyncWithDeadAdvancer) {
 
   for (uint64_t v = 0; v < 4; ++v) {
     es->begin_op();
-    Payload* p = es->pnew<Payload>(v, v + 1);
-    p->set_blk_tag(kTag);
+    es->pnew<Payload>(BlkTag{kTag}, v, v + 1);
     es->end_op();
   }
   const uint64_t c0 = es->current_epoch();
@@ -356,8 +288,7 @@ TEST(ThreadFailure, TransientEioRetriesThrough) {
   EpochSys* es = env.esys();
 
   es->begin_op();
-  Payload* p = es->pnew<Payload>(7, 1);
-  p->set_blk_tag(kTag);
+  es->pnew<Payload>(BlkTag{kTag}, 7, 1);
   es->end_op();
 
   // The next three persistence events fail with EIO; retries march through
@@ -385,7 +316,7 @@ TEST(ThreadFailure, ExhaustedEioSurfacesAsPersistError) {
   EpochSys* es = env.esys();
 
   es->begin_op();
-  es->pnew<Payload>(9, 1)->set_blk_tag(kTag);
+  es->pnew<Payload>(BlkTag{kTag}, 9, 1);
   es->end_op();
 
   nvm::Region* r = env.region();

@@ -13,7 +13,6 @@
 #include "util/hazard.hpp"
 #include "util/inline_str.hpp"
 #include "util/padded.hpp"
-#include "util/pin.hpp"
 #include "util/rand.hpp"
 #include "util/threadid.hpp"
 #include "util/timing.hpp"
@@ -185,64 +184,6 @@ TEST(Env, CheckedRejectsGarbageInsteadOfReadingZero) {
         << "accepted garbage value '" << bad << "'";
   }
   ::unsetenv("MONTAGE_TEST_ENV_X");
-}
-
-// ---- topology ------------------------------------------------------------------
-
-TEST(Topology, ShardOfStaysInRangeAndCoversAllShards) {
-  // shards <= 1 collapses to shard 0 regardless of tid.
-  for (int tid : {0, 1, 7, 63}) EXPECT_EQ(shard_of(tid, 1), 0);
-  // Whatever path the CPU count selects (contiguous blocks or tid % shards),
-  // the result must stay in range and every shard must receive threads.
-  for (int shards : {2, 4, kMaxShards}) {
-    std::map<int, int> hit;
-    for (int tid = 0; tid < 4 * kMaxShards; ++tid) {
-      int s = shard_of(tid, shards);
-      ASSERT_GE(s, 0);
-      ASSERT_LT(s, shards);
-      ++hit[s];
-    }
-    EXPECT_EQ(static_cast<int>(hit.size()), shards)
-        << shards << " shards, only " << hit.size() << " populated";
-    // The map is periodic in cpus (wide path) or shards (narrow path), so
-    // equal tids must always land on equal shards.
-    EXPECT_EQ(shard_of(3, shards), shard_of(3, shards));
-  }
-}
-
-TEST(Topology, EpochShardsOverrideValidates) {
-  ::unsetenv("MONTAGE_EPOCH_SHARDS");
-  EXPECT_EQ(epoch_shards_override(), 0);  // unset = no override
-  ::setenv("MONTAGE_EPOCH_SHARDS", "4", 1);
-  EXPECT_EQ(epoch_shards_override(), 4);
-  ::setenv("MONTAGE_EPOCH_SHARDS", "1", 1);
-  EXPECT_EQ(epoch_shards_override(), 1);
-  // 0, above the cap, and garbage must all throw rather than read as "off":
-  // a typo'd knob silently disabling sharding would invalidate a whole
-  // benchmark campaign.
-  for (const char* bad : {"0", "65", "abc", "-4", "4x"}) {
-    ::setenv("MONTAGE_EPOCH_SHARDS", bad, 1);
-    EXPECT_THROW(epoch_shards_override(), std::invalid_argument)
-        << "accepted MONTAGE_EPOCH_SHARDS='" << bad << "'";
-  }
-  ::unsetenv("MONTAGE_EPOCH_SHARDS");
-}
-
-TEST(Topology, ResolvedTopologyIsSane) {
-  // topology() caches its first resolution, so don't assert a specific
-  // source here (another test or the harness may have set the env knob
-  // before us) — just the invariants every source guarantees.
-  const Topology& t = topology();
-  EXPECT_GE(t.shards, 1);
-  EXPECT_LE(t.shards, kMaxShards);
-  EXPECT_GE(t.cpus, 1);
-  EXPECT_EQ(t.shards, topology_shards());
-  const char* name = topology_source_name(t.source);
-  ASSERT_NE(name, nullptr);
-  EXPECT_GT(std::string(name).size(), 0u);
-  // The tid-only overload must agree with the explicit-shards one.
-  for (int tid = 0; tid < 8; ++tid)
-    EXPECT_EQ(shard_of(tid), shard_of(tid, t.shards));
 }
 
 // ---- barrier -------------------------------------------------------------------
