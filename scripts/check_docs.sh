@@ -121,4 +121,30 @@ else
   fail=1
 fi
 
+# Server knob coverage: every MONTAGE_SERVER_* variable that src/server/
+# reads (a quoted name passed to an env reader) must have a row in DESIGN.md's
+# server knob table (the one under "### Tuning knobs"), and every row there
+# must name a variable src/server/ still reads, so a deleted knob cannot
+# linger in the docs.
+knob_fail=0
+read_knobs=$(grep -ohE '"MONTAGE_SERVER_[A-Z_]+"' src/server/* | tr -d '"' | sort -u)
+doc_knobs=$(awk '/^### Tuning knobs/ { in_sec = 1; next }
+                 in_sec && /^#/ { in_sec = 0 }
+                 in_sec && match($0, /^\| `MONTAGE_SERVER_[A-Z_]+`/) {
+                   print substr($0, RSTART + 3, RLENGTH - 4)
+                 }' DESIGN.md | sort -u)
+for k in $(comm -23 <(echo "$read_knobs") <(echo "$doc_knobs")); do
+  echo "check_docs: DESIGN.md server knob table has no row for $k"
+  knob_fail=1
+done
+for k in $(comm -13 <(echo "$read_knobs") <(echo "$doc_knobs")); do
+  echo "check_docs: DESIGN.md server knob table documents $k, which src/server/ does not read"
+  knob_fail=1
+done
+if [[ $knob_fail -eq 0 ]]; then
+  echo "check_docs: server knob table matches src/server/ OK"
+else
+  fail=1
+fi
+
 exit $fail

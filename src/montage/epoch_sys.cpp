@@ -642,6 +642,38 @@ void EpochSys::pdelete(PBlk* p) {
 
 // ---- write-back machinery ---------------------------------------------------
 
+template <class Io>
+void EpochSys::with_io_retry(const Io& io) {
+  uint64_t backoff = std::max<uint64_t>(opts_.wb_backoff_ns, 1);
+  for (uint64_t attempt = 1;; ++attempt) {
+    try {
+      io();
+      return;
+    } catch (const nvm::IoError&) {
+      // Transient device error (full write queue, injected EIO): back off
+      // exponentially and reissue. Anything else — notably an armed
+      // CrashPointException — propagates untouched.
+      if (attempt > opts_.wb_max_retries) {
+        telemetry::count(telemetry::Ctr::kPersistErrors);
+        telemetry::trace(telemetry::Ev::kPersistError, attempt);
+        throw PersistError(attempt);
+      }
+      telemetry::count(telemetry::Ctr::kEioRetries);
+      telemetry::trace(telemetry::Ev::kEioRetry, attempt);
+      util::spin_for_ns(backoff);
+      backoff = std::min(backoff * 2, kMaxBackoffNs);
+    }
+  }
+}
+
+void EpochSys::persist_retry(const void* addr, std::size_t len) {
+  with_io_retry([&] { ral_->region()->persist(addr, len); });
+}
+
+void EpochSys::fence_retry() {
+  with_io_retry([&] { ral_->region()->fence(); });
+}
+
 void EpochSys::persist_block(PBlk* p) {
   // Seal the header immediately before write-back: recovery recomputes this
   // checksum and quarantines any header that reached NVM some other way
@@ -690,7 +722,14 @@ std::size_t EpochSys::persist_blocks_coalesced(
                         std::back_inserter(fresh));
     lines.swap(fresh);
   }
-  persist_lines_retry(lines.data(), lines.size());
+  if (!lines.empty()) {
+    // A retry reissues the WHOLE batch: lines that made it into the
+    // write-pending queue before the fault are re-appended, which is
+    // harmless (the next fence commits each pending entry once per
+    // appearance).
+    with_io_retry(
+        [&] { ral_->region()->persist_lines(lines.data(), lines.size()); });
+  }
   for (std::vector<uint64_t>* f : {filter, slot_filter}) {
     if (f == nullptr || lines.empty()) continue;
     // Only lines that actually flushed enter the filters — a batch that
@@ -703,74 +742,6 @@ std::size_t EpochSys::persist_blocks_coalesced(
   }
   telemetry::count(telemetry::Ctr::kWbCoalesced, refs - lines.size());
   return lines.size();
-}
-
-void EpochSys::persist_lines_retry(const uint64_t* lines, std::size_t n) {
-  if (n == 0) return;
-  uint64_t backoff = std::max<uint64_t>(opts_.wb_backoff_ns, 1);
-  for (uint64_t attempt = 1;; ++attempt) {
-    try {
-      // A retry reissues the WHOLE batch: lines that made it into the
-      // write-pending queue before the fault are re-appended, which is
-      // harmless (the next fence commits each pending entry once per
-      // appearance).
-      ral_->region()->persist_lines(lines, n);
-      return;
-    } catch (const nvm::IoError&) {
-      if (attempt > opts_.wb_max_retries) {
-        telemetry::count(telemetry::Ctr::kPersistErrors);
-        telemetry::trace(telemetry::Ev::kPersistError, attempt);
-        throw PersistError(attempt);
-      }
-      telemetry::count(telemetry::Ctr::kEioRetries);
-      telemetry::trace(telemetry::Ev::kEioRetry, attempt);
-      util::spin_for_ns(backoff);
-      backoff = std::min(backoff * 2, kMaxBackoffNs);
-    }
-  }
-}
-
-void EpochSys::persist_retry(const void* addr, std::size_t len) {
-  uint64_t backoff = std::max<uint64_t>(opts_.wb_backoff_ns, 1);
-  for (uint64_t attempt = 1;; ++attempt) {
-    try {
-      ral_->region()->persist(addr, len);
-      return;
-    } catch (const nvm::IoError&) {
-      // Transient device error (full write queue, injected EIO): back off
-      // exponentially and reissue. Anything else — notably an armed
-      // CrashPointException — propagates untouched.
-      if (attempt > opts_.wb_max_retries) {
-        telemetry::count(telemetry::Ctr::kPersistErrors);
-        telemetry::trace(telemetry::Ev::kPersistError, attempt);
-        throw PersistError(attempt);
-      }
-      telemetry::count(telemetry::Ctr::kEioRetries);
-      telemetry::trace(telemetry::Ev::kEioRetry, attempt);
-      util::spin_for_ns(backoff);
-      backoff = std::min(backoff * 2, kMaxBackoffNs);
-    }
-  }
-}
-
-void EpochSys::fence_retry() {
-  uint64_t backoff = std::max<uint64_t>(opts_.wb_backoff_ns, 1);
-  for (uint64_t attempt = 1;; ++attempt) {
-    try {
-      ral_->region()->fence();
-      return;
-    } catch (const nvm::IoError&) {
-      if (attempt > opts_.wb_max_retries) {
-        telemetry::count(telemetry::Ctr::kPersistErrors);
-        telemetry::trace(telemetry::Ev::kPersistError, attempt);
-        throw PersistError(attempt);
-      }
-      telemetry::count(telemetry::Ctr::kEioRetries);
-      telemetry::trace(telemetry::Ev::kEioRetry, attempt);
-      util::spin_for_ns(backoff);
-      backoff = std::min(backoff * 2, kMaxBackoffNs);
-    }
-  }
 }
 
 void EpochSys::slot_filter_dirty(ThreadData& td, uint64_t e, const PBlk* p) {

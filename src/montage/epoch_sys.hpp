@@ -469,11 +469,6 @@ class EpochSys {
   /// Caller holds td.m. No-op unless Options::coalesce.
   void slot_filter_dirty(ThreadData& td, uint64_t e, const PBlk* p);
 
-  /// nvm::Region::persist_lines with the same transient-IoError retry loop
-  /// as persist_retry (PersistError past the budget; crash-point exceptions
-  /// propagate untouched).
-  void persist_lines_retry(const uint64_t* lines, std::size_t n);
-
   /// Drain and write back one thread's ring for epoch `e`. Caller must NOT
   /// hold td.m. Returns number of blocks written back. With
   /// Options::coalesce the write-back is line-coalesced; `boundary_filter`
@@ -519,8 +514,12 @@ class EpochSys {
   /// shared state) and record last_op_adopted.
   void finish_adopted_op(ThreadData& td);
 
-  /// Write back / fence with retry on transient nvm::IoError; PersistError
-  /// after Options::wb_max_retries.
+  /// Run the device call `io` with retry on transient nvm::IoError:
+  /// exponential backoff, then PersistError after Options::wb_max_retries.
+  /// Any other exception (an armed CrashPointException) propagates.
+  template <class Io>
+  void with_io_retry(const Io& io);
+  /// Write back / fence through with_io_retry.
   void persist_retry(const void* addr, std::size_t len);
   void fence_retry();
 

@@ -45,20 +45,6 @@ struct ServerConfig {
   /// stops reading from the socket (backpressure) until the peer drains.
   /// MONTAGE_SERVER_WRITE_BUF, default 1 MiB, >= 4096.
   uint64_t write_buf_max = 1u << 20;
-  /// Period of the ack syncer: pending SET/DELETE responses are released by
-  /// one batched, bounded EpochSys::sync_for() per interval.
-  /// MONTAGE_SERVER_SYNC_US, default 500, >= 1.
-  uint64_t sync_interval_us = 500;
-  /// Caller-helped sync threshold: a worker whose oldest pending ACK has
-  /// waited longer than this drives a bounded sync itself instead of
-  /// waiting on the syncer thread (so a stalled syncer can never delay
-  /// durable ACKs indefinitely). 0 = derive 8x sync_interval_us.
-  /// MONTAGE_SERVER_HELP_US, default 0.
-  uint64_t help_threshold_us = 0;
-  /// TEST ONLY: wedge the syncer thread (as if SIGSTOPped) so it never
-  /// runs a sync; ACKs must drain via the caller-helped path.
-  /// MONTAGE_SERVER_SYNCER_WEDGE, default 0, must be 0 or 1.
-  bool syncer_wedge = false;
   /// Graceful-drain budget after SIGTERM: stop accepting, flush in-flight
   /// responses behind a final sync, then force-close whatever remains when
   /// the deadline expires. MONTAGE_SERVER_DRAIN_MS, default 5000, >= 1.
@@ -116,22 +102,6 @@ struct ServerConfig {
           "MONTAGE_SERVER_WRITE_BUF=" + std::to_string(c.write_buf_max) +
           ": below the 4096-byte minimum (one response must fit)");
     }
-    c.sync_interval_us =
-        util::env_u64_checked("MONTAGE_SERVER_SYNC_US", c.sync_interval_us);
-    if (c.sync_interval_us == 0) {
-      throw std::invalid_argument(
-          "MONTAGE_SERVER_SYNC_US=0: the ack syncer needs a positive period");
-    }
-    c.help_threshold_us =
-        util::env_u64_checked("MONTAGE_SERVER_HELP_US", c.help_threshold_us);
-    const uint64_t wedge =
-        util::env_u64_checked("MONTAGE_SERVER_SYNCER_WEDGE", 0);
-    if (wedge > 1) {
-      throw std::invalid_argument("MONTAGE_SERVER_SYNCER_WEDGE=" +
-                                  std::to_string(wedge) +
-                                  ": expected 0 or 1");
-    }
-    c.syncer_wedge = wedge == 1;
     c.drain_deadline_ms =
         util::env_u64_checked("MONTAGE_SERVER_DRAIN_MS", c.drain_deadline_ms);
     if (c.drain_deadline_ms == 0) {

@@ -30,6 +30,9 @@ constexpr int kEpollBatch = 128;
 constexpr int kTickMs = 10;            // epoll_wait timeout: housekeeping tick
 constexpr uint64_t kScanPeriodNs = 100'000'000;  // timeout scan every 100 ms
 constexpr int kMutationRetries = 8;    // epoch-conflict retry budget per op
+// Budget of one group-commit sync: long enough for two advances, short enough
+// that a peer wedged mid-operation cannot capture an event-loop thread.
+constexpr uint64_t kSyncBudgetNs = 50'000'000;
 
 uint64_t wall_seconds() { return static_cast<uint64_t>(::time(nullptr)); }
 
@@ -96,7 +99,7 @@ struct KvServer::Conn {
 
 struct KvServer::Worker {
   int epfd = -1;
-  int wake = -1;  // eventfd: new connections, syncer release, drain, stop
+  int wake = -1;  // eventfd: new connections, drain, stop
   std::thread th;
   std::mutex inbox_m;
   std::vector<int> inbox;  // fds handed over by the acceptor
@@ -105,6 +108,8 @@ struct KvServer::Worker {
   std::atomic<bool> done{false};
   bool drain_entered = false;
   uint64_t last_scan_ns = 0;
+  uint64_t ack_epoch = 0;  // highest epoch a response enqueued here waits on
+  uint64_t mut_epoch = 0;  // highest epoch of any mutation, noreply included
 
   void ring() {
     uint64_t one = 1;
@@ -115,10 +120,6 @@ struct KvServer::Worker {
 KvServer::KvServer(const ServerConfig& cfg, kvstore::MontageMemCache* cache,
                    EpochSys* esys)
     : cfg_(cfg), cache_(cache), esys_(esys) {
-  help_threshold_ns_ = (cfg_.help_threshold_us != 0
-                            ? cfg_.help_threshold_us
-                            : cfg_.sync_interval_us * 8) *
-                       1'000ull;
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) throw std::runtime_error("kv_server: socket() failed");
   int one = 1;
@@ -227,7 +228,6 @@ void KvServer::run() {
   for (auto& w : workers_) {
     w->th = std::thread([this, wp = w.get()] { worker_loop(*wp); });
   }
-  syncer_ = std::thread([this] { syncer_loop(); });
 
   acceptor_loop();  // returns once a drain was requested
 
@@ -240,7 +240,6 @@ void KvServer::run() {
       .field("port", static_cast<uint64_t>(port_))
       .field("deadline_ms", cfg_.drain_deadline_ms);
   for (auto& w : workers_) w->ring();
-  sync_cv_.notify_all();
 
   const uint64_t deadline = t0 + cfg_.drain_deadline_ms * 1'000'000ull;
   bool all_done = false;
@@ -267,9 +266,20 @@ void KvServer::run() {
     for (auto& w : workers_) w->ring();
   }
   for (auto& w : workers_) w->th.join();
-  syncer_stop_.store(true, std::memory_order_release);
-  sync_cv_.notify_all();
-  syncer_.join();
+  // The workers synced for every response they released. Mutations with no
+  // response left to hold (noreply, or force-closed at the deadline) may
+  // still be past the frontier: one last sync covers them before exit.
+  uint64_t mut_epoch = 0;
+  for (auto& w : workers_) mut_epoch = std::max(mut_epoch, w->mut_epoch);
+  if (mut_epoch > esys_->persisted_frontier()) {
+    try {
+      esys_->sync();
+    } catch (const nvm::CrashPointException&) {
+      crash_die();
+    } catch (const PersistError& e) {
+      util::log::warn("sync_failed").field("error", e.what());
+    }
+  }
 
   const uint64_t dt = util::now_ns() - t0;
   drain_latency_ns_.store(dt, std::memory_order_relaxed);
@@ -352,85 +362,24 @@ void KvServer::accept_ready() {
   }
 }
 
-// ---- syncer -----------------------------------------------------------------
+// ---- group commit -----------------------------------------------------------
 
-void KvServer::syncer_loop() {
-  if (cfg_.syncer_wedge) {
-    // TEST ONLY: the syncer is "SIGSTOPped" — it exists but never syncs.
-    // ACK durability must come entirely from the caller-helped path.
-    std::unique_lock lk(sync_m_);
-    sync_cv_.wait(lk, [this] {
-      return syncer_stop_.load(std::memory_order_acquire);
-    });
-    return;
-  }
-  // One bounded sync per interval. The bound matters: the syncer must come
-  // back to re-read ack_target_ and notice a drain even when a wedged peer
-  // (adoption pending) stalls an advance, and the workers' caller-helped
-  // path is the guarantee that ACKs drain regardless of this thread's fate.
-  const uint64_t budget_ns =
-      std::max<uint64_t>(cfg_.sync_interval_us * 1'000ull * 10, 50'000'000ull);
-  while (!syncer_stop_.load(std::memory_order_acquire)) {
-    {
-      std::unique_lock lk(sync_m_);
-      sync_cv_.wait_for(lk, std::chrono::microseconds(cfg_.sync_interval_us));
-    }
-    if (syncer_stop_.load(std::memory_order_acquire)) break;
-    const bool draining = draining_.load(std::memory_order_acquire);
-    const uint64_t target = ack_target_.load(std::memory_order_acquire);
-    if (!draining && target <= esys_->persisted_frontier()) continue;
-    bool synced = false;
-    try {
-      synced = esys_->sync_for(budget_ns);
-    } catch (const nvm::CrashPointException&) {
-      crash_die();
-    } catch (const PersistError& e) {
-      // Transient device errors did not clear within the retry budget; the
-      // payloads stay queued and the next batch retries them. ACKs simply
-      // wait longer — durability is never claimed early.
-      util::log::warn("sync_failed").field("path", "syncer").field("error",
-                                                                   e.what());
-      continue;
-    }
-    if (!synced) continue;  // timed out on a wedged peer: retry next interval
-    stats_.sync_batches.add();
-    stats_.sync_path_syncer.add();
-    telemetry::count(telemetry::Ctr::kSrvSyncBatches);
-    telemetry::count(telemetry::Ctr::kSrvSyncPathSyncer);
-    for (auto& w : workers_) w->ring();  // frontier moved: release ACKs
-  }
-}
-
-// A worker whose oldest pending ACK has waited past the help threshold stops
-// trusting the syncer thread and drives a bounded sync itself. This is the
-// liveness guarantee behind ACK-after-sync: the syncer is a batching
-// optimization, and a wedged (or killed, or descheduled) syncer only costs
-// latency up to the threshold — never unbounded ACK delay.
-void KvServer::maybe_help_sync(Worker& w) {
-  const uint64_t target = ack_target_.load(std::memory_order_acquire);
-  if (target <= esys_->persisted_frontier()) return;
-  uint64_t oldest = UINT64_MAX;
-  for (auto& [fd, c] : w.conns) {
-    if (c->dead || c->pending.empty()) continue;
-    const PendingResp& p = c->pending.front();
-    if (p.epoch != 0 && p.enq_ns < oldest) oldest = p.enq_ns;
-  }
-  if (oldest == UINT64_MAX) return;
-  const uint64_t now = util::now_ns();
-  if (now - oldest < help_threshold_ns_) return;
-  bool synced = false;
+// End of an event-loop iteration: if any response enqueued here waits past
+// the persistence frontier, run one bounded sync for the whole batch. A
+// concurrent sync by another worker is joined, not repeated: sync_for's
+// advances collapse onto one clock CAS. A CrashPointException propagates to
+// worker_loop.
+void KvServer::sync_pending(Worker& w) {
+  if (w.ack_epoch <= esys_->persisted_frontier()) return;
   try {
-    // Same budget shape as the syncer: generous enough to cover two
-    // cooperative advances, bounded so one wedged peer cannot capture an
-    // event-loop thread (CrashPointException propagates to worker_loop).
-    synced = esys_->sync_for(std::max<uint64_t>(
-        cfg_.sync_interval_us * 1'000ull * 10, 50'000'000ull));
+    if (!esys_->sync_for(kSyncBudgetNs)) return;  // wedged peer: next iteration
   } catch (const PersistError& e) {
-    util::log::warn("sync_failed").field("path", "caller").field("error",
-                                                                 e.what());
+    // Transient device errors outlasted the retry budget; the payloads stay
+    // queued and the ACKs wait for the next batch. Durability is never
+    // claimed early.
+    util::log::warn("sync_failed").field("error", e.what());
     return;
   }
-  if (!synced) return;
   stats_.sync_batches.add();
   stats_.sync_path_caller.add();
   telemetry::count(telemetry::Ctr::kSrvSyncBatches);
@@ -507,10 +456,9 @@ void KvServer::worker_loop(Worker& w) {
         }
       }
 
-      // The frontier may have moved (syncer ring): try releasing everywhere.
-      // If it has not moved and our oldest ACK is past the help threshold,
-      // run the sync ourselves before releasing.
-      maybe_help_sync(w);
+      // Group commit: one sync covers everything parsed this iteration, then
+      // release everywhere (a peer's sync may have moved the frontier too).
+      sync_pending(w);
       for (auto& [fd, c] : w.conns) {
         if (!c->dead && (!c->pending.empty() || c->out_off < c->out.size() ||
                          c->close_after_flush)) {
@@ -687,12 +635,6 @@ void KvServer::handle_request(Worker& w, Conn& c, const Request& req) {
       // clock value read after it returned, so once the persistence frontier
       // reaches this value the mutation is crash-proof and the ACK may go out.
       const uint64_t e = esys_->current_epoch();
-      uint64_t cur = ack_target_.load(std::memory_order_relaxed);
-      while (stored && e > cur &&
-             !ack_target_.compare_exchange_weak(cur, e,
-                                                std::memory_order_release,
-                                                std::memory_order_relaxed)) {
-      }
       enqueue(w, c, stored ? "STORED\r\n" : "NOT_STORED\r\n", stored ? e : 0,
               req.noreply, req.verb == Verb::kSet ? "set" : "add", khash,
               begin_epoch);
@@ -702,13 +644,6 @@ void KvServer::handle_request(Worker& w, Conn& c, const Request& req) {
       const bool deleted =
           with_retries([&] { return cache_->del(kvstore::CacheKey(req.keys[0])); });
       const uint64_t e = esys_->current_epoch();
-      if (deleted) {
-        uint64_t cur = ack_target_.load(std::memory_order_relaxed);
-        while (e > cur && !ack_target_.compare_exchange_weak(
-                              cur, e, std::memory_order_release,
-                              std::memory_order_relaxed)) {
-        }
-      }
       enqueue(w, c, deleted ? "DELETED\r\n" : "NOT_FOUND\r\n", deleted ? e : 0,
               req.noreply, "delete", khash, begin_epoch);
       break;
@@ -724,11 +659,6 @@ void KvServer::handle_request(Worker& w, Conn& c, const Request& req) {
       });
       const uint64_t e = esys_->current_epoch();
       if (v.has_value()) {
-        uint64_t cur = ack_target_.load(std::memory_order_relaxed);
-        while (e > cur && !ack_target_.compare_exchange_weak(
-                              cur, e, std::memory_order_release,
-                              std::memory_order_relaxed)) {
-        }
         enqueue(w, c, std::to_string(*v) + "\r\n", e, req.noreply,
                 req.verb == Verb::kIncr ? "incr" : "decr", khash, begin_epoch);
       } else {
@@ -756,7 +686,11 @@ void KvServer::handle_request(Worker& w, Conn& c, const Request& req) {
 void KvServer::enqueue(Worker& w, Conn& c, std::string bytes, uint64_t epoch,
                        bool noreply, const char* verb, uint64_t key_hash,
                        uint64_t begin_epoch) {
+  // A nonzero epoch marks a mutation. A noreply one holds no response, but
+  // the drain's final sync must still cover it.
+  w.mut_epoch = std::max(w.mut_epoch, epoch);
   if (noreply || bytes.empty()) return;
+  w.ack_epoch = std::max(w.ack_epoch, epoch);
   c.pending_bytes += bytes.size();
   c.pending.push_back(PendingResp{std::move(bytes), epoch, util::now_ns(),
                                   verb, key_hash, begin_epoch});
@@ -896,7 +830,6 @@ std::string KvServer::stats_payload() {
   stat("stall_closed", ss.stall_closed);
   stat("backpressure_pauses", ss.backpressure);
   stat("sync_batches", ss.sync_batches);
-  stat("sync_path_syncer", ss.sync_path_syncer);
   stat("sync_path_caller", ss.sync_path_caller);
   stat("slow_ops", ss.slow_ops);
   stat("get_hits", cs.hits);
@@ -1229,7 +1162,6 @@ std::string KvServer::varz_payload() {
   row("stall_closed", ss.stall_closed);
   row("backpressure_pauses", ss.backpressure);
   row("sync_batches", ss.sync_batches);
-  row("sync_path_syncer", ss.sync_path_syncer);
   row("sync_path_caller", ss.sync_path_caller);
   row("slow_ops", ss.slow_ops);
   row("admin_requests", ss.admin_requests);

@@ -5,13 +5,13 @@
 //
 //  * ACK-after-sync — a mutation's response is held in a per-connection FIFO
 //    until the epoch observed after the operation is covered by the
-//    persistence frontier; a dedicated syncer thread runs one batched,
-//    bounded EpochSys::sync_for() per interval on behalf of every
-//    connection, so a SIGKILLed server never acknowledged a write that
-//    recovery can lose. The syncer is an optimization, not a dependency:
-//    a worker whose oldest pending ACK exceeds the help threshold drives a
-//    bounded sync itself (server.sync_path_caller), so a stalled or wedged
-//    syncer can never delay durable ACKs indefinitely.
+//    persistence frontier, so a SIGKILLed server never acknowledged a write
+//    that recovery can lose. Group commit: at the end of each event-loop
+//    iteration a worker holding such a response runs one bounded
+//    EpochSys::sync_for() and releases everything it covers; requests that
+//    arrive during the sync form the next batch. Concurrent workers collapse
+//    onto one clock advance inside sync_for, so there is no leader, no timer
+//    and no dedicated sync thread.
 //  * Backpressure — per-connection buffered output is bounded; beyond the
 //    bound the server stops reading that socket until the peer drains.
 //  * Overload shedding — connections beyond max_conns are refused with
@@ -30,7 +30,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -66,8 +65,7 @@ struct ServerStats {
   telemetry::ShardedCounter stall_closed;     ///< closed by the write-stall timeout
   telemetry::ShardedCounter backpressure;     ///< reads paused on full output
   telemetry::ShardedCounter sync_batches;     ///< batched acks released by one sync
-  telemetry::ShardedCounter sync_path_syncer; ///< syncs run by the syncer thread
-  telemetry::ShardedCounter sync_path_caller; ///< syncs run by a helping worker
+  telemetry::ShardedCounter sync_path_caller; ///< syncs run by a worker
   telemetry::ShardedCounter slow_ops;         ///< requests over the slow-op bar
   telemetry::ShardedCounter admin_requests;   ///< admin HTTP requests served
 
@@ -84,8 +82,7 @@ struct ServerStats {
     uint64_t stall_closed;      ///< closed by the write-stall timeout
     uint64_t backpressure;      ///< reads paused on full output
     uint64_t sync_batches;      ///< batched acks released by one sync
-    uint64_t sync_path_syncer;  ///< syncs run by the syncer thread
-    uint64_t sync_path_caller;  ///< syncs run by a helping worker
+    uint64_t sync_path_caller;  ///< syncs run by a worker
     uint64_t slow_ops;          ///< requests over the slow-op bar
     uint64_t admin_requests;    ///< admin HTTP requests served
   };
@@ -95,9 +92,8 @@ struct ServerStats {
     return Snapshot{conns_accepted.read(), conns_shed.read(), requests.read(),
                     requests_shed.read(), idle_closed.read(),
                     stall_closed.read(), backpressure.read(),
-                    sync_batches.read(), sync_path_syncer.read(),
-                    sync_path_caller.read(), slow_ops.read(),
-                    admin_requests.read()};
+                    sync_batches.read(), sync_path_caller.read(),
+                    slow_ops.read(), admin_requests.read()};
   }
 };
 
@@ -122,8 +118,8 @@ class KvServer {
   /// The bound admin-listener port (0 when the admin plane is disabled).
   uint16_t admin_port() const { return admin_port_; }
 
-  /// Serve until a drain completes: spawns the workers and the ack syncer,
-  /// then runs the acceptor on the calling thread.
+  /// Serve until a drain completes: spawns the workers, then runs the
+  /// acceptor on the calling thread.
   void run();
 
   /// Request a graceful drain; async-signal-safe (one eventfd write), so a
@@ -144,7 +140,6 @@ class KvServer {
 
   void acceptor_loop();
   void worker_loop(Worker& w);
-  void syncer_loop();
   void accept_ready();
   void adopt_new_conns(Worker& w);
   void handle_readable(Worker& w, Conn& c);
@@ -152,7 +147,7 @@ class KvServer {
   void enqueue(Worker& w, Conn& c, std::string bytes, uint64_t epoch,
                bool noreply, const char* verb = "", uint64_t key_hash = 0,
                uint64_t begin_epoch = 0);
-  void maybe_help_sync(Worker& w);
+  void sync_pending(Worker& w);
   void release_and_flush(Worker& w, Conn& c);
   void flush_writes(Conn& c);
   void update_interest(Conn& c, int epfd);
@@ -200,14 +195,8 @@ class KvServer {
   std::deque<std::string> slow_ring_;  ///< recent slow ops, rendered JSON
 
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::thread syncer_;
-  std::mutex sync_m_;                ///< guards sync_cv_ waits
-  std::condition_variable sync_cv_;  ///< wakes the syncer early (drain, stop)
-  std::atomic<bool> syncer_stop_{false};
   std::atomic<bool> draining_{false};  ///< stop accepting, flush and close
   std::atomic<bool> stop_{false};      ///< drain deadline hit: force-close
-  std::atomic<uint64_t> ack_target_{0};  ///< max epoch any pending ACK needs
-  uint64_t help_threshold_ns_ = 0;  ///< caller-helped sync trigger (resolved)
   std::atomic<uint64_t> conn_count_{0};
   std::atomic<uint64_t> drain_latency_ns_{0};
   uint32_t next_worker_ = 0;  ///< round-robin dispatch cursor (acceptor only)

@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
     const bool recover = region->reopened();
     // With a crash schedule armed, persistence events must land on the
     // request/sync threads deterministically, so the free-running background
-    // advancer stays off; the ack syncer drives the clock instead.
+    // advancer stays off; the workers' group-commit syncs drive the clock.
     const bool crash_armed =
         region->mode() == nvm::PersistMode::kTracked &&
         util::env_u64_checked("MONTAGE_CRASH_AT", 0) != 0;

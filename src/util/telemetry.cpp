@@ -65,7 +65,6 @@ constexpr Meta kCounterMeta[kNumCounters] = {
     {"server.stall_closed", "connections"},
     {"server.backpressure_pauses", "pauses"},
     {"server.sync_batches", "batches"},
-    {"server.sync_path_syncer", "syncs"},
     {"server.sync_path_caller", "syncs"},
     {"server.slow_ops", "requests"},
     {"server.admin_requests", "requests"},

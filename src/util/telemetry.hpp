@@ -143,7 +143,6 @@ enum class Ctr : uint32_t {
   kSrvStallClosed,
   kSrvBackpressure,
   kSrvSyncBatches,
-  kSrvSyncPathSyncer,
   kSrvSyncPathCaller,
   kSrvSlowOps,
   kSrvAdminRequests,

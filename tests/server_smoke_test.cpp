@@ -23,6 +23,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/promexpo.hpp"
@@ -370,31 +371,66 @@ TEST(ServerSmoke, SigtermDrainFlushesInFlight) {
   EXPECT_TRUE(WIFEXITED(st) && WEXITSTATUS(st) == 0) << st;
 }
 
-TEST(ServerSmoke, Kill9ThenRestartServesEveryAckedSet) {
+/// One kill -9 round: `clients` threads each pipeline bursts of 8 sets over
+/// `conns` connections apiece and wait for every ACK. The server is then
+/// SIGKILLed and restarted on the same file, and every ACK'd set must read
+/// back byte-identical.
+void kill9_then_restart(const EnvList& extra_env, int clients, int conns) {
   const std::string dir = test_dir();
-  const EnvList env = {{"MONTAGE_SERVER_REGION", dir + "/region"},
-                       {"MONTAGE_SERVER_REGION_MB", "64"}};
-  std::vector<std::pair<std::string, std::string>> acked;
+  EnvList env = {{"MONTAGE_SERVER_REGION", dir + "/region"},
+                 {"MONTAGE_SERVER_REGION_MB", "64"}};
+  env.insert(env.end(), extra_env.begin(), extra_env.end());
+  using KvList = std::vector<std::pair<std::string, std::string>>;
+  std::vector<KvList> acked(static_cast<std::size_t>(clients));
   {
     ServerHandle srv = start_server(dir, env);
     ASSERT_GT(srv.port, 0);
-    const int fd = connect_to(srv.port);
-    for (int batch = 0; batch < 5; ++batch) {
-      std::string burst;
-      for (int i = 0; i < 8; ++i) {
-        const std::string k =
-            "k" + std::to_string(batch) + "_" + std::to_string(i);
-        const std::string v =
-            "value-" + std::to_string(batch * 100 + i) + "-payload";
-        burst += "set " + k + " 0 0 " + std::to_string(v.size()) + "\r\n" + v +
-                 "\r\n";
-        acked.emplace_back(k, v);
-      }
-      ASSERT_TRUE(send_all(fd, burst));
-      // Wait for all 8 ACKs: from here on these writes must be crash-proof.
-      const std::string resp = recv_until(fd, "STORED\r\n", 8);
-      ASSERT_EQ(count_of(resp, "STORED\r\n"), 8);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < clients; ++t) {
+      threads.emplace_back([&, t] {
+        auto key = [t](int c, int batch, int i) {
+          return "k" + std::to_string(t) + "_" + std::to_string(c) + "_" +
+                 std::to_string(batch) + "_" + std::to_string(i);
+        };
+        std::vector<int> fds;
+        for (int c = 0; c < conns; ++c) fds.push_back(connect_to(srv.port));
+        for (int batch = 0; batch < 10; ++batch) {
+          // Send a burst on every connection before reading any ACK, so the
+          // workers that own them hold pending sets at the same time.
+          for (int c = 0; c < conns; ++c) {
+            std::string burst;
+            for (int i = 0; i < 8; ++i) {
+              const std::string k = key(c, batch, i);
+              const std::string v = "value-" + k + "-payload";
+              burst += "set " + k + " 0 0 " + std::to_string(v.size()) +
+                       "\r\n" + v + "\r\n";
+            }
+            EXPECT_TRUE(send_all(fds[c], burst));
+          }
+          for (int c = 0; c < conns; ++c) {
+            // Wait for all 8 ACKs: from here on these writes must be
+            // crash-proof.
+            const std::string resp = recv_until(fds[c], "STORED\r\n", 8);
+            EXPECT_EQ(count_of(resp, "STORED\r\n"), 8);
+            for (int i = 0; i < 8; ++i) {
+              const std::string k = key(c, batch, i);
+              acked[t].emplace_back(k, "value-" + k + "-payload");
+            }
+          }
+        }
+        for (int fd : fds) ::close(fd);
+      });
     }
+    for (auto& th : threads) th.join();
+    // Every batch was released by a worker's own sync: there is no other
+    // sync path to count.
+    const int fd = connect_to(srv.port);
+    ASSERT_TRUE(send_all(fd, "stats\r\n"));
+    const std::string stats = recv_until(fd, "END\r\n", 1);
+    EXPECT_GE(stat_value(stats, "sync_batches"), 1u) << stats;
+    EXPECT_EQ(stat_value(stats, "sync_path_caller"),
+              stat_value(stats, "sync_batches"))
+        << stats;
     ::close(fd);
     ASSERT_EQ(::kill(srv.pid, SIGKILL), 0);
     srv.wait_exit();
@@ -402,25 +438,40 @@ TEST(ServerSmoke, Kill9ThenRestartServesEveryAckedSet) {
   ServerHandle srv = start_server(dir, env);
   ASSERT_GT(srv.port, 0);
   const int fd = connect_to(srv.port);
-  for (const auto& [k, v] : acked) {
-    ASSERT_TRUE(send_all(fd, "get " + k + "\r\n"));
-    const std::string resp = recv_until(fd, "END\r\n", 1);
-    const std::string want = "VALUE " + k + " 0 " + std::to_string(v.size()) +
-                             "\r\n" + v + "\r\nEND\r\n";
-    // Durable-ack contract: present, and byte-identical (never torn).
-    EXPECT_EQ(resp, want) << "acked SET lost or torn after kill -9: " << k;
+  for (const KvList& list : acked) {
+    for (const auto& [k, v] : list) {
+      ASSERT_TRUE(send_all(fd, "get " + k + "\r\n"));
+      const std::string resp = recv_until(fd, "END\r\n", 1);
+      const std::string want = "VALUE " + k + " 0 " +
+                               std::to_string(v.size()) + "\r\n" + v +
+                               "\r\nEND\r\n";
+      // Durable-ack contract: present, and byte-identical (never torn).
+      EXPECT_EQ(resp, want) << "acked SET lost or torn after kill -9: " << k;
+    }
   }
   ::close(fd);
   ::kill(srv.pid, SIGTERM);
   srv.wait_exit();
 }
 
+TEST(ServerSmoke, Kill9ThenRestartServesEveryAckedSet) {
+  {
+    SCOPED_TRACE("one client, default workers");
+    kill9_then_restart({}, 1, 1);
+  }
+  {
+    // Two workers that often sync at once: their advances must collapse
+    // onto one clock without losing any ACK'd set.
+    SCOPED_TRACE("two clients x two connections, two workers");
+    kill9_then_restart({{"MONTAGE_SERVER_THREADS", "2"}}, 2, 2);
+  }
+}
+
 TEST(ServerSmoke, CrashScheduleInServerProcess) {
   const std::string dir = test_dir();
   EnvList env = {{"MONTAGE_SERVER_REGION", dir + "/region"},
                  {"MONTAGE_SERVER_REGION_MB", "64"},
-                 {"MONTAGE_SERVER_MODE", "tracked"},
-                 {"MONTAGE_SERVER_SYNC_US", "200"}};
+                 {"MONTAGE_SERVER_MODE", "tracked"}};
   std::vector<std::pair<std::string, std::string>> acked;
   {
     EnvList crash_env = env;
@@ -481,46 +532,15 @@ TEST(ServerSmoke, CrashScheduleInServerProcess) {
   srv.wait_exit();
 }
 
-TEST(ServerSmoke, WedgedSyncerAcksDrainViaCallerHelp) {
-  // The syncer thread is wedged (MONTAGE_SERVER_SYNCER_WEDGE, as if it had
-  // been SIGSTOPped) and the caller-help threshold is dialed down: every
-  // durable ACK must be released by workers driving bounded syncs
-  // themselves. A stalled syncer is a latency event, never a liveness one.
-  const std::string dir = test_dir();
-  ServerHandle srv = start_server(dir, {{"MONTAGE_SERVER_REGION_MB", "64"},
-                                        {"MONTAGE_SERVER_SYNCER_WEDGE", "1"},
-                                        {"MONTAGE_SERVER_HELP_US", "2000"}});
-  ASSERT_GT(srv.port, 0);
-  const int fd = connect_to(srv.port);
-  for (int batch = 0; batch < 5; ++batch) {
-    std::string burst;
-    for (int i = 0; i < 8; ++i) {
-      burst += "set w" + std::to_string(batch) + "_" + std::to_string(i) +
-               " 0 0 3\r\nval\r\n";
-    }
-    ASSERT_TRUE(send_all(fd, burst));
-    const std::string resp = recv_until(fd, "STORED\r\n", 8);
-    ASSERT_EQ(count_of(resp, "STORED\r\n"), 8)
-        << "ACKs did not drain with the syncer wedged: " << resp;
-  }
-  ASSERT_TRUE(send_all(fd, "stats\r\n"));
-  const std::string stats = recv_until(fd, "END\r\n", 1);
-  EXPECT_GE(stat_value(stats, "sync_path_caller"), 1u) << stats;
-  EXPECT_EQ(stat_value(stats, "sync_path_syncer"), 0u) << stats;
-  ::close(fd);
-  ASSERT_EQ(::kill(srv.pid, SIGTERM), 0);
-  const int st = srv.wait_exit();
-  EXPECT_TRUE(WIFEXITED(st) && WEXITSTATUS(st) == 0) << st;
-}
-
 TEST(ServerSmoke, OverloadShedsInsteadOfQueueing) {
   const std::string dir = test_dir();
-  ServerHandle srv = start_server(
-      dir, {{"MONTAGE_SERVER_REGION_MB", "64"},
-            {"MONTAGE_SERVER_MAX_INFLIGHT", "1"},
-            {"MONTAGE_SERVER_SYNC_US", "100000"}});  // slow ack release
+  ServerHandle srv = start_server(dir, {{"MONTAGE_SERVER_REGION_MB", "64"},
+                                        {"MONTAGE_SERVER_MAX_INFLIGHT", "1"}});
   ASSERT_GT(srv.port, 0);
   const int fd = connect_to(srv.port);
+  // The burst arrives in one segment and is parsed in one pass, before the
+  // iteration's sync can release the first STORED: every set after it finds
+  // the 1-op cap full.
   std::string burst;
   for (int i = 0; i < 50; ++i) {
     burst += "set shed:" + std::to_string(i) + " 0 0 3\r\nval\r\n";
@@ -754,20 +774,17 @@ TEST(ServerSmoke, MetricsScrapeSurvivesKill9Recovery) {
 }
 
 TEST(ServerSmoke, SlowOpEmitsExactlyOneLogLine) {
-  // Wedge the syncer so the single SET's ACK waits for the caller-help
-  // threshold (~20 ms), far past the 1 ms slow-op bar: exactly one slow op,
-  // one structured log line, one counter increment, one /varz ring entry.
-  // The `stats` probe is sent only after STORED arrives — a pipelined
-  // request queued behind the pending SET would be released late too and
-  // count as a second slow op.
+  // A 1 ns slow-op bar makes every request slow without depending on timing:
+  // the SET waits for a sync before its ACK. It must produce exactly one
+  // structured log line, one counter increment and one /varz ring entry.
+  // The `stats` probe is sent only after STORED arrives. It is slow too, but
+  // its payload is built before its own release, so it counts the SET alone.
   const std::string dir = test_dir();
   const std::string errlog = dir + "/stderr.log";
   ServerHandle srv = start_server(dir,
                                   {{"MONTAGE_SERVER_REGION_MB", "64"},
                                    {"MONTAGE_SERVER_ADMIN_PORT", "0"},
-                                   {"MONTAGE_SERVER_SYNCER_WEDGE", "1"},
-                                   {"MONTAGE_SERVER_HELP_US", "20000"},
-                                   {"MONTAGE_SERVER_SLOW_OP_NS", "1000000"}},
+                                   {"MONTAGE_SERVER_SLOW_OP_NS", "1"}},
                                   errlog);
   ASSERT_GT(srv.port, 0);
   ASSERT_GT(srv.admin_port, 0);
@@ -779,11 +796,11 @@ TEST(ServerSmoke, SlowOpEmitsExactlyOneLogLine) {
   const std::string stats = recv_until(fd, "END\r\n", 1);
   EXPECT_EQ(stat_value(stats, "slow_ops"), 1u) << stats;
 
-  // The line was emitted (and fflushed) at the release point, strictly
-  // before the STORED bytes entered the socket — no settling wait needed.
+  // Each line was emitted (and fflushed) at its release point, strictly
+  // before the response bytes entered the socket — no settling wait needed.
   const std::string log = read_file(errlog);
-  EXPECT_EQ(count_of(log, "\"event\":\"slow_op\""), 1) << log;
-  EXPECT_NE(log.find("\"verb\":\"set\""), std::string::npos) << log;
+  EXPECT_EQ(count_of(log, "\"event\":\"slow_op\",\"verb\":\"set\""), 1)
+      << log;
   EXPECT_NE(log.find("\"key_hash\":\""), std::string::npos) << log;
   EXPECT_NE(log.find("\"epoch_begin\":"), std::string::npos) << log;
   EXPECT_NE(log.find("\"persisted_frontier\":"), std::string::npos) << log;
@@ -792,7 +809,8 @@ TEST(ServerSmoke, SlowOpEmitsExactlyOneLogLine) {
   EXPECT_EQ(varz.status, 200);
   EXPECT_NE(varz.body.find("\"slow_ops\":[{"), std::string::npos)
       << "slow-op ring empty in /varz: " << varz.body.substr(0, 400);
-  EXPECT_NE(varz.body.find("\"verb\":\"set\""), std::string::npos);
+  EXPECT_EQ(count_of(varz.body, "\"verb\":\"set\""), 1)
+      << varz.body.substr(0, 400);
   ::close(fd);
   ASSERT_EQ(::kill(srv.pid, SIGTERM), 0);
   const int st = srv.wait_exit();

@@ -346,17 +346,13 @@ TEST(ServerConfig, DefaultsWhenUnset) {
        {"MONTAGE_SERVER_PORT", "MONTAGE_SERVER_THREADS", "MONTAGE_SERVER_IDLE_MS",
         "MONTAGE_SERVER_STALL_MS", "MONTAGE_SERVER_MAX_CONNS",
         "MONTAGE_SERVER_MAX_INFLIGHT", "MONTAGE_SERVER_WRITE_BUF",
-        "MONTAGE_SERVER_SYNC_US", "MONTAGE_SERVER_DRAIN_MS",
-        "MONTAGE_SERVER_HELP_US", "MONTAGE_SERVER_SYNCER_WEDGE"}) {
+        "MONTAGE_SERVER_DRAIN_MS"}) {
     ::unsetenv(v);
   }
   const auto c = server::ServerConfig::from_env();
   EXPECT_EQ(c.port, 11211);
   EXPECT_EQ(c.workers, 4u);
   EXPECT_EQ(c.max_conns, 1024u);
-  EXPECT_EQ(c.sync_interval_us, 500u);
-  EXPECT_EQ(c.help_threshold_us, 0u);  // 0 = derive 8x sync_interval_us
-  EXPECT_FALSE(c.syncer_wedge);
   EXPECT_EQ(c.drain_deadline_ms, 5000u);
   // The admin plane and slow-op capture default OFF: no unrequested listener,
   // no unrequested log traffic.
@@ -398,15 +394,11 @@ TEST(ServerConfig, ParsesOverrides) {
   ScopedEnv t("MONTAGE_SERVER_THREADS", "2");
   ScopedEnv i("MONTAGE_SERVER_MAX_INFLIGHT", "0");
   ScopedEnv s("MONTAGE_SERVER_STALL_MS", "250");
-  ScopedEnv h("MONTAGE_SERVER_HELP_US", "3000");
-  ScopedEnv w("MONTAGE_SERVER_SYNCER_WEDGE", "1");
   const auto c = server::ServerConfig::from_env();
   EXPECT_EQ(c.port, 0);
   EXPECT_EQ(c.workers, 2u);
   EXPECT_EQ(c.max_inflight, 0u);  // 0 = unbounded is a valid setting
   EXPECT_EQ(c.stall_timeout_ms, 250u);
-  EXPECT_EQ(c.help_threshold_us, 3000u);
-  EXPECT_TRUE(c.syncer_wedge);
 }
 
 TEST(ServerConfig, RejectsMalformedInsteadOfDefaulting) {
@@ -437,19 +429,7 @@ TEST(ServerConfig, RejectsMalformedInsteadOfDefaulting) {
     EXPECT_THROW(server::ServerConfig::from_env(), std::invalid_argument);
   }
   {
-    ScopedEnv e("MONTAGE_SERVER_SYNC_US", "0");
-    EXPECT_THROW(server::ServerConfig::from_env(), std::invalid_argument);
-  }
-  {
     ScopedEnv e("MONTAGE_SERVER_DRAIN_MS", "5s");
-    EXPECT_THROW(server::ServerConfig::from_env(), std::invalid_argument);
-  }
-  {
-    ScopedEnv e("MONTAGE_SERVER_HELP_US", "soon");
-    EXPECT_THROW(server::ServerConfig::from_env(), std::invalid_argument);
-  }
-  {
-    ScopedEnv e("MONTAGE_SERVER_SYNCER_WEDGE", "2");  // strictly 0 or 1
     EXPECT_THROW(server::ServerConfig::from_env(), std::invalid_argument);
   }
   {
